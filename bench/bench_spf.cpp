@@ -11,11 +11,19 @@
 /// remote rack loses an uplink — reconverges. Each direction of the cut
 /// arrives as its own LSA, exactly as flooding delivers it, and the SPF
 /// run after both is what reconvergence pays per event.
+///
+/// The ControllerCompute rows time one full central-controller
+/// computation at k = 8/16/32 (view build, the destination-rooted
+/// DestinationSpf kernel, every switch's routes, FIB delta install), with
+/// its route count. On the same view they also time the kernel alone
+/// against the per-source reference (compute_spf for every switch, what
+/// the controller ran before) and check that both give identical routes.
 
 #include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <memory>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -182,6 +190,90 @@ CaseResult run_case(int ports, int iterations) {
   return out;
 }
 
+struct ControllerResult {
+  double compute_ms = 0;     ///< CentralController::converge, converged bed
+  double kernel_ms = 0;      ///< DestinationSpf + routes_for, all switches
+  double per_source_ms = 0;  ///< compute_spf for every switch
+  std::size_t routes = 0;    ///< installed controller routes, all switches
+  std::size_t switches = 0;
+  bool equivalent = false;
+};
+
+ControllerResult run_controller_case(int ports, int iterations) {
+  core::TestbedConfig config;
+  config.control_plane = core::ControlPlane::kCentral;
+  core::Testbed bed(core::topology_builder("fat", ports), config);
+  bed.converge();
+  const std::vector<net::L3Switch*> switches = bed.topo().all_switches();
+
+  ControllerResult out;
+  out.switches = switches.size();
+  double compute_ns = 0;
+  for (int i = 0; i < iterations; ++i) {
+    const auto t0 = Clock::now();
+    bed.controller().converge();
+    compute_ns += ns_between(t0, Clock::now());
+  }
+  out.compute_ms = compute_ns / iterations / 1e6;
+  for (const net::L3Switch* sw : switches) {
+    for (const routing::Route& r : sw->fib().dump()) {
+      if (r.source == routing::RouteSource::kOspf) ++out.routes;
+    }
+  }
+
+  // The controller's view, rebuilt the same way: one LSA per switch
+  // listing its detected-up switch neighbors at cost 1, plus rack prefixes.
+  routing::Lsdb view;
+  std::vector<std::vector<routing::LocalAdjacency>> adjacency;
+  for (net::L3Switch* sw : switches) {
+    auto lsa = std::make_shared<routing::Lsa>();
+    lsa->origin = sw->router_id();
+    lsa->sequence = 1;
+    auto& adj = adjacency.emplace_back();
+    for (net::PortId p = 0; p < sw->port_count(); ++p) {
+      const auto& info = sw->port(p);
+      if (!info.peer_is_switch || !sw->port_detected_up(p)) continue;
+      adj.push_back({p, info.peer_addr});
+      const routing::LsaLink link{info.peer_addr, 1};
+      if (std::find(lsa->links.begin(), lsa->links.end(), link) ==
+          lsa->links.end()) {
+        lsa->links.push_back(link);
+      }
+    }
+    if (const auto it = bed.topo().subnet_of_tor.find(sw);
+        it != bed.topo().subnet_of_tor.end()) {
+      lsa->prefixes.push_back(it->second);
+    }
+    view.consider(std::move(lsa));
+  }
+
+  std::vector<std::vector<routing::Route>> kernel_routes(switches.size());
+  double kernel_ns = 0;
+  for (int i = 0; i < iterations; ++i) {
+    const auto t0 = Clock::now();
+    const routing::DestinationSpf spf(view);
+    for (std::size_t s = 0; s < switches.size(); ++s) {
+      kernel_routes[s] = spf.routes_for(switches[s]->router_id(), adjacency[s]);
+    }
+    kernel_ns += ns_between(t0, Clock::now());
+  }
+  out.kernel_ms = kernel_ns / iterations / 1e6;
+
+  out.equivalent = true;
+  double per_source_ns = 0;
+  for (int i = 0; i < iterations; ++i) {
+    for (std::size_t s = 0; s < switches.size(); ++s) {
+      const auto t0 = Clock::now();
+      auto routes =
+          routing::compute_spf(view, switches[s]->router_id(), adjacency[s]);
+      per_source_ns += ns_between(t0, Clock::now());
+      out.equivalent = out.equivalent && routes == kernel_routes[s];
+    }
+  }
+  out.per_source_ms = per_source_ns / iterations / 1e6;
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -221,8 +313,41 @@ int main() {
                        static_cast<double>(r.routes), "routes"});
   }
 
+  const struct {
+    int ports;
+    int iterations;
+  } controller_cases[] = {{8, 20}, {16, 5}, {32, 2}};
+  std::cout << "\none full central-controller computation, fat tree\n"
+            << "  k   switches  routes  compute ms  kernel ms"
+            << "  per-source ms  kernel speedup\n";
+  for (const auto& c : controller_cases) {
+    const ControllerResult r = run_controller_case(c.ports, c.iterations);
+    const double speedup =
+        r.kernel_ms > 0 ? r.per_source_ms / r.kernel_ms : 0;
+    std::cout << "  " << c.ports << "  " << r.switches << "  " << r.routes
+              << "  " << r.compute_ms << "  " << r.kernel_ms << "  "
+              << r.per_source_ms << "  " << speedup << "x"
+              << (r.equivalent ? "" : "  [MISMATCH]") << "\n";
+    ok = ok && r.equivalent;
+    const std::string k = "/k=" + std::to_string(c.ports);
+    results.push_back(
+        {"ControllerCompute" + k, "real_time", r.compute_ms, "ms"});
+    results.push_back({"ControllerRoutes" + k, "size",
+                       static_cast<double>(r.routes), "routes"});
+    results.push_back(
+        {"ControllerKernel" + k, "real_time", r.kernel_ms, "ms"});
+    results.push_back(
+        {"ControllerPerSourceSpf" + k, "real_time", r.per_source_ms, "ms"});
+    results.push_back(
+        {"ControllerKernel_speedup" + k, "speedup", speedup, "x"});
+  }
+  results.push_back(
+      {"hardware_threads", "hardware_threads",
+       static_cast<double>(std::thread::hardware_concurrency()), "threads"});
+
   if (!ok) {
-    std::cerr << "bench_spf: solver diverged from compute_spf or fell back\n";
+    std::cerr << "bench_spf: a fast path diverged from compute_spf or the "
+                 "solver fell back\n";
     return 1;
   }
   if (!bench::write_bench_json("spf", results)) {

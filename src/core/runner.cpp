@@ -181,6 +181,18 @@ UdpRun run_udp_plan_packet(Testbed& bed, const failure::ScenarioPlan& plan,
   return out;
 }
 
+obs::DropReason drop_reason_of(transport::FluidProbe::LossCause cause) {
+  switch (cause) {
+    case transport::FluidProbe::LossCause::kNoRoute:
+      return obs::DropReason::kNoRoute;
+    case transport::FluidProbe::LossCause::kTtlExpired:
+      return obs::DropReason::kTtlExpired;
+    case transport::FluidProbe::LossCause::kChannelDown:
+      return obs::DropReason::kLinkDown;
+  }
+  return obs::DropReason::kNone;
+}
+
 /// The flow-fidelity body: same plan, same metrics, no probe packets —
 /// the FluidProbe derives the delivered set from routing-state regimes
 /// and channel availability windows (see transport/fluid.hpp).
@@ -240,10 +252,11 @@ UdpRun run_udp_plan_fluid(Testbed& bed, const failure::ScenarioPlan& plan,
   run_and_observe(bed, knobs.horizon, out.observation);
   probe.finalize();
   if (bed.observing()) {
-    // Materialize the fluid model's derived deliveries as journal events
-    // so the RecoveryTimeline (and the span tracer) see the same
-    // packet_delivered stream a packet-fidelity run records. Appended
-    // after the fact — the timeline sorts deliveries by time itself.
+    // Materialize the fluid model's derived deliveries and losses as
+    // journal events so the RecoveryTimeline (and the span tracer) see
+    // the same packet_delivered / packet_drop stream a packet-fidelity
+    // run records. Appended after the fact — the timeline sorts
+    // deliveries by time itself and counts drops by timestamp.
     auto& journal = bed.obs().journal;
     const std::int64_t dst_id = plan.dst->id();
     for (const auto& a : probe.arrivals()) {
@@ -253,6 +266,17 @@ UdpRun run_udp_plan_fluid(Testbed& bed, const failure::ScenarioPlan& plan,
       e.proto = static_cast<std::uint8_t>(net::Protocol::kUdp);
       e.node = dst_id;
       e.uid = a.seq;
+      journal.record(e);
+    }
+    for (const auto& loss : probe.losses()) {
+      obs::Event e;
+      e.at = loss.at;
+      e.type = obs::EventType::kPacketDrop;
+      e.reason = drop_reason_of(loss.cause);
+      e.proto = static_cast<std::uint8_t>(net::Protocol::kUdp);
+      if (loss.node != net::kInvalidNode) e.node = loss.node;
+      if (loss.link != net::kInvalidLink) e.link = loss.link;
+      e.uid = loss.seq;
       journal.record(e);
     }
     out.observation.events = journal.events();

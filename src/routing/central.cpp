@@ -1,5 +1,6 @@
 #include "routing/central.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace f2t::routing {
@@ -19,14 +20,25 @@ void CentralController::manage(net::L3Switch& sw,
   });
 }
 
+std::vector<LocalAdjacency> CentralController::adjacency_of(
+    const Managed& m) {
+  std::vector<LocalAdjacency> adjacency;
+  for (net::PortId p = 0; p < m.sw->port_count(); ++p) {
+    const auto& info = m.sw->port(p);
+    if (info.peer_is_switch && m.sw->port_detected_up(p)) {
+      adjacency.push_back(LocalAdjacency{p, info.peer_addr});
+    }
+  }
+  return adjacency;
+}
+
 LsaPtr CentralController::view_of(const Managed& m) const {
   auto lsa = std::make_shared<Lsa>();
   lsa->origin = m.sw->router_id();
   lsa->sequence = view_version_;
-  for (net::PortId p = 0; p < m.sw->port_count(); ++p) {
-    const auto& info = m.sw->port(p);
-    if (!info.peer_is_switch || !m.sw->port_detected_up(p)) continue;
-    const LsaLink link{info.peer_addr, 1};
+  // Every link at cost 1: DestinationSpf's BFS relies on it.
+  for (const LocalAdjacency& adj : adjacency_of(m)) {
+    const LsaLink link{adj.neighbor, 1};
     if (std::find(lsa->links.begin(), lsa->links.end(), link) ==
         lsa->links.end()) {
       lsa->links.push_back(link);
@@ -44,26 +56,7 @@ Lsdb CentralController::build_view() const {
   return view;
 }
 
-void CentralController::converge() {
-  ++view_version_;
-  const Lsdb view = build_view();
-  for (const Managed& m : switches_) {
-    std::vector<LocalAdjacency> adjacency;
-    for (net::PortId p = 0; p < m.sw->port_count(); ++p) {
-      const auto& info = m.sw->port(p);
-      if (info.peer_is_switch && m.sw->port_detected_up(p)) {
-        adjacency.push_back(LocalAdjacency{p, info.peer_addr});
-      }
-    }
-    auto routes = compute_spf(view, m.sw->router_id(), adjacency);
-    std::erase_if(routes, [&](const Route& r) {
-      return std::find(m.prefixes.begin(), m.prefixes.end(), r.prefix) !=
-             m.prefixes.end();
-    });
-    m.sw->fib().apply_source_delta(RouteSource::kOspf, std::move(routes));
-  }
-  ++counters_.computations;
-}
+void CentralController::converge() { compute_and_deliver(false); }
 
 void CentralController::on_report(net::L3Switch& /*sw*/) {
   ++counters_.reports;
@@ -71,27 +64,26 @@ void CentralController::on_report(net::L3Switch& /*sw*/) {
   pending_compute_ =
       sim_->after(config_.batch_window + config_.compute_delay, [this] {
         pending_compute_ = sim::kInvalidEventId;
-        recompute_and_push();
+        compute_and_deliver(true);
       });
 }
 
-void CentralController::recompute_and_push() {
+void CentralController::compute_and_deliver(bool push) {
   ++counters_.computations;
   ++view_version_;
   const Lsdb view = build_view();
+  const DestinationSpf spf(view);
+  // One switch's route set is live at a time on the synchronous path.
   for (const Managed& m : switches_) {
-    std::vector<LocalAdjacency> adjacency;
-    for (net::PortId p = 0; p < m.sw->port_count(); ++p) {
-      const auto& info = m.sw->port(p);
-      if (info.peer_is_switch && m.sw->port_detected_up(p)) {
-        adjacency.push_back(LocalAdjacency{p, info.peer_addr});
-      }
-    }
-    auto routes = compute_spf(view, m.sw->router_id(), adjacency);
+    auto routes = spf.routes_for(m.sw->router_id(), adjacency_of(m));
     std::erase_if(routes, [&](const Route& r) {
       return std::find(m.prefixes.begin(), m.prefixes.end(), r.prefix) !=
              m.prefixes.end();
     });
+    if (!push) {
+      m.sw->fib().apply_source_delta(RouteSource::kOspf, std::move(routes));
+      continue;
+    }
     net::L3Switch* sw = m.sw;
     // The push (and its hook) still happens even when the delta turns out
     // empty — the controller does not know that before the switch applies

@@ -29,6 +29,16 @@ struct CentralConfig {
 /// protocol entirely: switches run no routing code, they only report port
 /// state transitions; the controller owns the global topology view and
 /// writes every FIB.
+///
+/// Route computation is destination-rooted (`DestinationSpf`): holding the
+/// whole view, the controller runs one reverse BFS per prefix-carrying
+/// switch (512 at k=32, instead of one Dijkstra per switch, 1,280) and
+/// reads every switch's ECMP next hops off the resulting distance table.
+/// BFS is exact because the view advertises every link at cost 1 (see
+/// `view_of`); the routes equal `compute_spf`'s for each switch, order
+/// included. The initial converge and every report-triggered recompute
+/// share one body and differ only in delivery: synchronous FIB install
+/// versus a scheduled push per switch.
 class CentralController {
  public:
   explicit CentralController(const CentralConfig& config = {})
@@ -63,8 +73,13 @@ class CentralController {
   };
 
   void on_report(net::L3Switch& sw);
-  void recompute_and_push();
+  /// Computes every managed switch's routes from a fresh view, then per
+  /// switch either installs them now or schedules the push (`push`).
+  void compute_and_deliver(bool push);
   Lsdb build_view() const;
+  /// The switch's detected-up switch-facing ports; its view LSA lists
+  /// exactly these neighbors.
+  static std::vector<LocalAdjacency> adjacency_of(const Managed& m);
   LsaPtr view_of(const Managed& m) const;
 
   CentralConfig config_;

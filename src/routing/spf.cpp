@@ -1,6 +1,7 @@
 #include "routing/spf.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "routing/smallvec.hpp"
 
@@ -99,9 +100,12 @@ void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
       }
       const int nd = du + e.cost;
       FirstHopSet& hv = a.touch(v);
+      // Push only on a strict improvement: a tie would push a duplicate
+      // (dist, addr) key, so settle order is the same without it.
       if (nd < a.dist[v]) {
         a.dist[v] = nd;
         hv.clear();
+        heap_push(a, nd, g.router_of(v).value(), v);
       }
       if (nd == a.dist[v]) {
         if (u == self) {
@@ -109,7 +113,6 @@ void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
         } else {
           union_first_hops(hv, a.hops[u]);
         }
-        heap_push(a, nd, g.router_of(v).value(), v);
       }
     }
   }
@@ -192,6 +195,93 @@ bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to) {
     }
   }
   return false;
+}
+
+DestinationSpf::DestinationSpf(const Lsdb& view) : graph_(view.graph()) {
+  const LinkStateGraph& g = graph_;
+  const std::size_t n = g.node_count();
+  if (n >= kFar) {
+    throw std::length_error("DestinationSpf: too many routers for uint16");
+  }
+  for (RouterIndex i = 0; i < n; ++i) {
+    for (const DenseEdge& e : g.edges(i)) {
+      if (e.cost != 1) {
+        throw std::invalid_argument("DestinationSpf: view link cost != 1");
+      }
+    }
+    const Lsa* lsa = g.lsa_of(i);
+    if (lsa != nullptr && !lsa->prefixes.empty()) dests_.push_back(i);
+  }
+  const std::size_t width = dests_.size();
+  dist_.assign(n * width, kFar);
+  // Each BFS runs on a node-indexed level array that fits in L1, then is
+  // scattered into its table column.
+  std::vector<std::uint16_t> level(n);
+  std::vector<RouterIndex> queue(n);
+  for (std::size_t slot = 0; slot < width; ++slot) {
+    std::fill(level.begin(), level.end(), kFar);
+    const RouterIndex d = dests_[slot];
+    level[d] = 0;
+    queue[0] = d;
+    std::size_t head = 0;
+    std::size_t tail = 1;
+    while (head < tail) {
+      const RouterIndex x = queue[head++];
+      const auto next = static_cast<std::uint16_t>(level[x] + 1);
+      for (const DenseEdge& e : g.edges(x)) {
+        if (!e.two_way || level[e.to] != kFar) continue;
+        level[e.to] = next;
+        queue[tail++] = e.to;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) dist_[i * width + slot] = level[i];
+  }
+}
+
+std::vector<Route> DestinationSpf::routes_for(
+    net::Ipv4Addr self, const std::vector<LocalAdjacency>& adjacency) const {
+  const LinkStateGraph& g = graph_;
+  const RouterIndex self_index = g.index_of(self);
+  if (self_index == kNoRouter) return {};
+  const SelfView view = build_self_view(adjacency);
+  const std::size_t width = dests_.size();
+
+  // Table row of each usable first hop, parallel to view.neighbors: the
+  // neighbor must be live locally and listed in self's LSA, the same gate
+  // dijkstra_full applies to self's edges.
+  std::vector<const std::uint16_t*> rows(view.neighbors.size(), nullptr);
+  for (const DenseEdge& e : g.edges(self_index)) {
+    const int hop_index = view.index_of(g.router_of(e.to));
+    if (hop_index < 0) {
+      throw std::invalid_argument(
+          "DestinationSpf: view lists a neighbor missing from adjacency");
+    }
+    rows[static_cast<std::size_t>(hop_index)] = dist_.data() + e.to * width;
+  }
+  std::vector<std::uint16_t> best(width, kFar);
+  for (const std::uint16_t* row : rows) {
+    if (row == nullptr) continue;
+    for (std::size_t slot = 0; slot < width; ++slot) {
+      best[slot] = std::min(best[slot], row[slot]);
+    }
+  }
+
+  std::vector<Route> routes;
+  for (std::size_t slot = 0; slot < width; ++slot) {
+    const RouterIndex d = dests_[slot];
+    if (d == self_index || best[slot] == kFar) continue;
+    std::vector<NextHop> next_hops;
+    for (std::size_t h = 0; h < rows.size(); ++h) {
+      if (rows[h] == nullptr || rows[h][slot] != best[slot]) continue;
+      for (const net::PortId port : view.ports[h]) {
+        next_hops.push_back(NextHop{port, view.neighbors[h]});
+      }
+    }
+    for (const net::Prefix& prefix : g.lsa_of(d)->prefixes) {
+      routes.push_back(Route{prefix, next_hops, RouteSource::kOspf});
+    }
+  }
+  return routes;
 }
 
 namespace {

@@ -43,6 +43,44 @@ std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
 /// tests and topology validation.
 bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to);
 
+/// Destination-rooted route computation over a whole view, for a
+/// controller that computes every router's routes from one database.
+///
+/// Construction runs one reverse BFS over the two-way edges per
+/// prefix-carrying router and keeps a distance table (uint16 per
+/// (router, destination) pair, about 1.3 MB for a k=32 fat tree).
+/// `routes_for(self, adjacency)` then reads self's routes off that table:
+/// self's next hops toward d are the neighbors j it links to whose
+/// distance to d is minimal, emitted in `compute_spf`'s order
+/// (destinations by RouterIndex, next hops by neighbor address, then by
+/// port in adjacency order).
+///
+/// Unit-cost invariant: BFS is exact only because every view link costs
+/// 1 (`CentralController::view_of` advertises each link at cost 1); the
+/// constructor throws std::invalid_argument on any other cost.
+///
+/// Equivalence: with unit costs, `routes_for(self, adjacency)` equals
+/// `compute_spf(view, self, adjacency)` exactly, order included, provided
+/// every neighbor self's view LSA lists also appears in `adjacency` (the
+/// controller derives both from the same detected-up ports); otherwise it
+/// throws std::invalid_argument. Pinned by tests/test_spf_incremental.cpp.
+/// Reads `view`'s graph by reference, so it must not outlive `view`.
+class DestinationSpf {
+ public:
+  explicit DestinationSpf(const Lsdb& view);
+
+  std::vector<Route> routes_for(
+      net::Ipv4Addr self, const std::vector<LocalAdjacency>& adjacency) const;
+
+ private:
+  static constexpr std::uint16_t kFar = 0xFFFF;
+
+  const LinkStateGraph& graph_;
+  std::vector<RouterIndex> dests_;  ///< prefix-carrying routers, by index
+  /// dist_[node * dests_.size() + slot]: hops from node to dests_[slot].
+  std::vector<std::uint16_t> dist_;
+};
+
 /// Incremental SPF engine: one instance per computing router.
 ///
 /// `run` returns exactly what `compute_spf` would return for the same

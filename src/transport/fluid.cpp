@@ -275,32 +275,89 @@ bool FluidProbe::channel_clean(std::uint32_t channel) const {
   return channel_log_[channel].empty() && channel_init_up_[channel] != 0;
 }
 
-bool FluidProbe::hop_open(std::uint32_t channel, sim::Time enqueue,
-                          sim::Time flight) const {
-  const auto& log = channel_log_[channel];
+sim::Time FluidProbe::hop_drop_time(const Hop& hop, sim::Time enqueue) const {
+  const auto& log = channel_log_[hop.channel];
   // State at enqueue: transitions stamped exactly at the enqueue time
   // count as applied (transition events outrank data events of equal
   // timestamp in the packet engine — they were scheduled earlier).
   const auto next = std::upper_bound(
       log.begin(), log.end(), enqueue,
       [](sim::Time t, const Transition& tr) { return t < tr.at; });
-  const bool up =
-      next == log.begin() ? channel_init_up_[channel] != 0 : std::prev(next)->up;
-  if (!up) return false;
+  const bool up = next == log.begin() ? channel_init_up_[hop.channel] != 0
+                                      : std::prev(next)->up;
+  if (!up) return enqueue;  // Link::transmit drops on a down channel
   // Any transition during (enqueue, enqueue + flight] kills the packet:
   // the channel epoch check at serialization end / delivery fails, and a
   // transition exactly at the delivery timestamp fires first for the same
   // event-ordering reason as above.
-  return next == log.end() || next->at > enqueue + flight;
+  const sim::Time delivered = enqueue + hop.flight;
+  if (next == log.end() || next->at > delivered) return sim::kNever;
+  const sim::Time serialized =
+      delivered - network_.link(hop.channel / 2).params().propagation_delay;
+  return next->at <= serialized ? serialized : delivered;
 }
 
 bool FluidProbe::send_delivered(const std::vector<Hop>& hops,
                                 sim::Time base) const {
   for (const Hop& hop : hops) {
     if (channel_clean(hop.channel)) continue;
-    if (!hop_open(hop.channel, base + hop.enqueue, hop.flight)) return false;
+    if (hop_drop_time(hop, base + hop.enqueue) != sim::kNever) return false;
   }
   return true;
+}
+
+bool FluidProbe::find_loss(const std::vector<Hop>& hops, Terminal terminal,
+                           sim::Time base, std::uint64_t k,
+                           Loss& loss) const {
+  loss.seq = k;
+  for (const Hop& hop : hops) {
+    if (channel_clean(hop.channel)) continue;
+    const sim::Time dropped = hop_drop_time(hop, base + hop.enqueue);
+    if (dropped == sim::kNever) continue;
+    loss.at = dropped;
+    loss.cause = LossCause::kChannelDown;
+    loss.node = net::kInvalidNode;
+    loss.link = hop.channel / 2;
+    return true;
+  }
+  if (terminal != Terminal::kNoRoute && terminal != Terminal::kTtlExpired) {
+    return false;
+  }
+  // L3Switch::forward drops on arrival at the switch that cannot forward.
+  const Hop& last = hops.back();
+  loss.at = base + last.enqueue + last.flight;
+  loss.cause = terminal == Terminal::kNoRoute ? LossCause::kNoRoute
+                                              : LossCause::kTtlExpired;
+  loss.node = last.to;
+  loss.link = net::kInvalidLink;
+  return true;
+}
+
+std::vector<FluidProbe::Loss> FluidProbe::losses() const {
+  std::vector<Loss> out;
+  Loss loss;
+  const auto clean = [this](const Hop& h) { return channel_clean(h.channel); };
+  for (const Batch& batch : batches_) {
+    if (batch.terminal == Terminal::kDelivered &&
+        std::all_of(batch.hops.begin(), batch.hops.end(), clean)) {
+      continue;
+    }
+    for (std::uint64_t k = batch.k_begin; k < batch.k_end; ++k) {
+      if (find_loss(batch.hops, batch.terminal, send_time(k), k, loss)) {
+        out.push_back(loss);
+      }
+    }
+  }
+  for (auto i = resolved_.head(); i != core::kNilIndex;
+       i = resolved_.next(pending_arena_, i)) {
+    const Pending& p = pending_arena_.at_index(i);
+    if (find_loss(p.hops, p.terminal, 0, p.k, loss)) out.push_back(loss);
+  }
+  std::sort(out.begin(), out.end(), [](const Loss& a, const Loss& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
+  });
+  return out;
 }
 
 void FluidProbe::emit_arrival(std::uint64_t k, sim::Time at) {

@@ -89,6 +89,25 @@ class FluidProbe {
 
   std::uint64_t packets_sent() const { return total_sends_; }
 
+  /// Where an undelivered send died, at the packet engine's drop point.
+  enum class LossCause : std::uint8_t {
+    kNoRoute,      ///< a switch had no usable next hop
+    kTtlExpired,   ///< a transient loop consumed the TTL
+    kChannelDown,  ///< sent onto, or cut under, a dead link direction
+  };
+  struct Loss {
+    std::uint64_t seq = 0;
+    sim::Time at = 0;  ///< when the packet engine drops it
+    LossCause cause = LossCause::kNoRoute;
+    net::NodeId node = net::kInvalidNode;  ///< dropping switch (route/TTL)
+    net::LinkId link = net::kInvalidLink;  ///< dead link (channel down)
+  };
+
+  /// The sends the packet engine would drop and journal, ordered by
+  /// (time, sequence number). Computed on demand from the finalized
+  /// regimes, so runs that never ask pay nothing. Valid after finalize().
+  std::vector<Loss> losses() const;
+
   const Stats& stats() const { return stats_; }
 
   /// The max-min rate table the probe registers its live path with (one
@@ -169,9 +188,16 @@ class FluidProbe {
   void advance_pending(std::uint32_t pending_idx, sim::Time now);
   void sync_flow_path();
   bool channel_clean(std::uint32_t channel) const;
-  bool hop_open(std::uint32_t channel, sim::Time enqueue,
-                sim::Time flight) const;
+  /// When a send enqueued on `hop`'s channel at `enqueue` dies there, at
+  /// the packet engine's drop point (enqueue on a down channel, else
+  /// serialization end or delivery after an in-flight transition);
+  /// sim::kNever when it gets through.
+  sim::Time hop_drop_time(const Hop& hop, sim::Time enqueue) const;
   bool send_delivered(const std::vector<Hop>& hops, sim::Time base) const;
+  /// Fills `loss` and returns true when send `k` (hop times offset by
+  /// `base`) dies at a journaled drop point.
+  bool find_loss(const std::vector<Hop>& hops, Terminal terminal,
+                 sim::Time base, std::uint64_t k, Loss& loss) const;
   void emit_arrival(std::uint64_t k, sim::Time at);
 
   net::Network& network_;

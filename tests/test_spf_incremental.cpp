@@ -6,6 +6,7 @@
 #include <queue>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -175,9 +176,13 @@ struct Harness {
   Ipv4Addr self;
   std::vector<LocalAdjacency> self_ports;  // physical router-facing ports
   std::vector<bool> port_up;
+  // Every router's physical router-facing ports (controller checks).
+  std::map<Ipv4Addr, std::vector<LocalAdjacency>> ports_of;
   std::uint64_t incremental_runs = 0;
   std::uint64_t full_runs = 0;
   std::uint64_t checks = 0;
+  std::uint64_t one_way_checks = 0;      // a link advertised one way only
+  std::uint64_t partitioned_checks = 0;  // some destination unreachable
 
   void emit(Ipv4Addr origin) {
     auto lsa = std::make_shared<Lsa>();
@@ -215,7 +220,10 @@ Harness make_harness(const std::string& topo_name, int ports) {
     auto& neighbors = h.physical[id];
     for (net::PortId p = 0; p < sw->port_count(); ++p) {
       const auto& info = sw->port(p);
-      if (info.peer_is_switch) neighbors.insert(info.peer_addr);
+      if (info.peer_is_switch) {
+        neighbors.insert(info.peer_addr);
+        h.ports_of[id].push_back(LocalAdjacency{p, info.peer_addr});
+      }
     }
   }
   for (const auto& [sw, subnet] : topo.subnet_of_tor) {
@@ -265,7 +273,55 @@ void check_equivalence(Harness& h) {
       << "SpfSolver diverged from compute_spf at check #" << h.checks;
 }
 
-void churn(Harness& h, std::uint32_t seed, int iterations) {
+/// The harness's LSDB read as a controller view: each router's LSA lists
+/// exactly the neighbors it detects up, and its adjacency is the ports
+/// reaching those neighbors (CentralController::adjacency_of).
+std::vector<LocalAdjacency> view_adjacency(const Harness& h, Ipv4Addr r) {
+  std::vector<LocalAdjacency> out;
+  const auto it = h.advertised.find(r);
+  for (const LocalAdjacency& adj : h.ports_of.at(r)) {
+    if (it != h.advertised.end() && it->second.contains(adj.neighbor)) {
+      out.push_back(adj);
+    }
+  }
+  return out;
+}
+
+/// DestinationSpf must reproduce compute_spf for every router of the
+/// view, order included (the controller installs its output verbatim).
+void check_controller(Harness& h) {
+  ++h.checks;
+  std::size_t total_prefixes = 0;
+  for (const Ipv4Addr r : h.routers) {
+    if (const Lsa* lsa = h.lsdb.find(r)) total_prefixes += lsa->prefixes.size();
+  }
+  const bool one_way = std::any_of(
+      h.links.begin(), h.links.end(), [&](const auto& link) {
+        return h.advertised[link.first].contains(link.second) !=
+               h.advertised[link.second].contains(link.first);
+      });
+  bool partitioned = false;
+  const DestinationSpf spf(h.lsdb);
+  for (const Ipv4Addr r : h.routers) {
+    const auto adjacency = view_adjacency(h, r);
+    const auto expected = compute_spf(h.lsdb, r, adjacency);
+    const auto got = spf.routes_for(r, adjacency);
+    ASSERT_EQ(got.size(), expected.size())
+        << "router " << r.str() << " at check #" << h.checks;
+    ASSERT_TRUE(got == expected) << "DestinationSpf diverged from "
+                                    "compute_spf for router "
+                                 << r.str() << " at check #" << h.checks;
+    const Lsa* own = h.lsdb.find(r);
+    const std::size_t reachable_max =
+        total_prefixes - (own != nullptr ? own->prefixes.size() : 0);
+    partitioned = partitioned || expected.size() < reachable_max;
+  }
+  if (one_way) ++h.one_way_checks;
+  if (partitioned) ++h.partitioned_checks;
+}
+
+void churn(Harness& h, std::uint32_t seed, int iterations,
+           void (*check)(Harness&) = check_equivalence) {
   std::mt19937 rng(seed);
   const auto pick_link = [&] {
     return h.links[rng() % h.links.size()];
@@ -283,16 +339,16 @@ void churn(Harness& h, std::uint32_t seed, int iterations) {
         if (h.advertised[a].contains(b) && h.advertised[b].contains(a)) {
           h.advertised[a].erase(b);
           h.emit(a);
-          check_equivalence(h);
+          check(h);
           h.advertised[b].erase(a);
         } else {
           h.advertised[a].insert(b);
           h.emit(a);
-          check_equivalence(h);
+          check(h);
           h.advertised[b].insert(a);
         }
         h.emit(b);
-        check_equivalence(h);
+        check(h);
         break;
       }
       case 4: {  // one-way toggle: asymmetric advertisement
@@ -303,14 +359,14 @@ void churn(Harness& h, std::uint32_t seed, int iterations) {
           h.advertised[a].insert(b);
         }
         h.emit(a);
-        check_equivalence(h);
+        check(h);
         break;
       }
       case 5: {  // prefix-only churn: no graph event, tree reuse path
         const Ipv4Addr r = pick_router();
         h.extra_prefix[r] = !h.extra_prefix[r];
         h.emit(r);
-        check_equivalence(h);
+        check(h);
         break;
       }
       case 6: {  // computing-router port flap (adjacency-only change)
@@ -318,7 +374,7 @@ void churn(Harness& h, std::uint32_t seed, int iterations) {
           const std::size_t p = rng() % h.port_up.size();
           h.port_up[p] = !h.port_up[p];
         }
-        check_equivalence(h);
+        check(h);
         break;
       }
       case 7: {  // partition / heal one router wholesale
@@ -329,11 +385,11 @@ void churn(Harness& h, std::uint32_t seed, int iterations) {
           h.advertised[r].clear();
         }
         h.emit(r);
-        check_equivalence(h);
+        check(h);
         break;
       }
       default: {  // recompute with nothing changed at all
-        check_equivalence(h);
+        check(h);
         break;
       }
     }
@@ -364,6 +420,40 @@ TEST(SpfIncrementalProperty, LeafSpineChurn) {
 
 TEST(SpfIncrementalProperty, AspenChurn) {
   run_property("aspen", 4, 0xA59Eu, 140);
+}
+
+// The controller's destination-rooted kernel against per-source SPF on
+// every router of the churned view. The churn includes one-way steps
+// (one endpoint has detected a failure, the other not yet) and whole-router
+// isolation, so some views hold unreachable destinations.
+void run_controller_property(const std::string& topo_name, int ports,
+                             std::uint32_t seed, int iterations) {
+  Harness h = make_harness(topo_name, ports);
+  check_controller(h);
+  if (::testing::Test::HasFatalFailure()) return;
+  churn(h, seed, iterations, check_controller);
+  EXPECT_GT(h.one_way_checks, 0u) << topo_name;
+  EXPECT_GT(h.partitioned_checks, 0u) << topo_name;
+}
+
+TEST(ControllerKernelProperty, FatTreeChurn) {
+  run_controller_property("fat", 4, 0xF2A51u, 140);
+}
+
+TEST(ControllerKernelProperty, F2TreeChurn) {
+  run_controller_property("f2", 4, 0xF2F2u, 140);
+}
+
+TEST(ControllerKernelProperty, Vl2Churn) {
+  run_controller_property("vl2", 4, 0x51E9u, 140);
+}
+
+TEST(ControllerKernelProperty, LeafSpineChurn) {
+  run_controller_property("leafspine", 4, 0xBEEFu, 140);
+}
+
+TEST(ControllerKernelProperty, AspenChurn) {
+  run_controller_property("aspen", 4, 0xA59Eu, 140);
 }
 
 // ---------------------------------------------------------------------------
@@ -493,6 +583,52 @@ TEST(SpfSolver, LocalEventsAndAdjacencyChangesFallBackToFull) {
   routes = solver.run(db, A, adjacency);
   EXPECT_FALSE(solver.last_run_incremental());
   EXPECT_TRUE(sorted(routes) == sorted(compute_spf(db, A, adjacency)));
+}
+
+TEST(DestinationSpf, OneWayEdgeAndPartition) {
+  // Square A-B-D-C-A with prefixes at B and D, plus E behind a one-way
+  // edge (D lists E, E lists nobody): E's prefix is unreachable.
+  const Ipv4Addr E(10, 12, 4, 1);
+  const Prefix kB = Prefix::parse("10.11.1.0/24");
+  const Prefix kE = Prefix::parse("10.11.4.0/24");
+  Lsdb db;
+  db.consider(make_lsa(A, {B, C}));
+  db.consider(make_lsa(B, {A, D}, {kB}));
+  db.consider(make_lsa(C, {A, D}));
+  db.consider(make_lsa(D, {B, C, E}, {kDst}));
+  db.consider(make_lsa(E, {}, {kE}));
+  const DestinationSpf spf(db);
+  const std::vector<LocalAdjacency> a_adj{{0, B}, {1, C}};
+  const auto routes = spf.routes_for(A, a_adj);
+  EXPECT_TRUE(routes == compute_spf(db, A, a_adj));
+  ASSERT_EQ(routes.size(), 2u);  // kB and kDst; kE is unreachable
+  EXPECT_EQ(routes[0].prefix, kB);
+  EXPECT_EQ(routes[1].prefix, kDst);
+  EXPECT_EQ(routes[1].next_hops.size(), 2u);
+
+  // D's own one-way edge to E is usable from D (local adjacency is
+  // trusted for the first hop), exactly as in compute_spf.
+  const std::vector<LocalAdjacency> d_adj{{0, B}, {1, C}, {2, E}};
+  EXPECT_TRUE(spf.routes_for(D, d_adj) == compute_spf(db, D, d_adj));
+  EXPECT_EQ(spf.routes_for(D, d_adj).size(), 2u);
+}
+
+TEST(DestinationSpf, RejectsViolatedPreconditions) {
+  Lsdb db;
+  db.consider(make_lsa(A, {B}));
+  db.consider(make_lsa(B, {A}, {kDst}));
+  const DestinationSpf spf(db);
+  // A's view lists B, but no local port reaches it.
+  EXPECT_THROW((void)spf.routes_for(A, {}), std::invalid_argument);
+
+  Lsdb weighted;
+  auto lsa = std::make_shared<Lsa>();
+  lsa->origin = A;
+  lsa->sequence = 1;
+  lsa->links.push_back({B, 2});
+  weighted.consider(std::move(lsa));
+  weighted.consider(make_lsa(B, {A}, {kDst}));
+  EXPECT_THROW(DestinationSpf{weighted}, std::invalid_argument);
 }
 
 TEST(SpfSolver, PrefixOnlyChurnReusesTree) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <vector>
+
 #include "core/f2tree.hpp"
 #include "core/runner.hpp"
 #include "obs/timeline.hpp"
@@ -26,13 +30,26 @@ obs::FailureRecovery first_failure(const core::UdpRun& r) {
 }
 
 core::UdpRun run_c1(const char* topo, core::ControlPlane control,
-                    core::Fidelity fidelity) {
+                    core::Fidelity fidelity, int ports = 4) {
   core::RunKnobs knobs;
   knobs.config.observe = true;
   knobs.config.control_plane = control;
   knobs.fidelity = fidelity;
-  const auto builder = core::topology_builder(topo, 4);
+  const auto builder = core::topology_builder(topo, ports);
   return core::run_udp_condition(builder, failure::Condition::kC1, knobs);
+}
+
+/// The journal's data-plane drops as (time, reason, node, link) tuples,
+/// sorted; packet uids are left out (the fluid probe has no packets).
+std::vector<std::tuple<sim::Time, int, std::int64_t, std::int64_t>> drops_of(
+    const core::UdpRun& r) {
+  std::vector<std::tuple<sim::Time, int, std::int64_t, std::int64_t>> out;
+  for (const obs::Event& e : r.observation.events) {
+    if (e.type != obs::EventType::kPacketDrop) continue;
+    out.emplace_back(e.at, static_cast<int>(e.reason), e.node, e.link);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 TEST(TimelineFidelity, FlowModeReproducesOspfMilestonesOnFatTree) {
@@ -71,6 +88,11 @@ TEST(TimelineFidelity, FlowModeReproducesOspfMilestonesOnFatTree) {
   // construction.
   EXPECT_EQ(fp.gap(), pkt.connectivity_loss);
   EXPECT_EQ(ff.gap(), flow.connectivity_loss);
+  // Flow fidelity journals its lost sends, so the gap's loss count is
+  // the run's and the packet run's.
+  EXPECT_EQ(fp.packets_lost, pkt.packets_lost);
+  EXPECT_EQ(ff.packets_lost, flow.packets_lost);
+  EXPECT_EQ(ff.packets_lost, fp.packets_lost);
 }
 
 TEST(TimelineFidelity, FlowModeReproducesCentralMilestonesOnF2Tree) {
@@ -90,6 +112,31 @@ TEST(TimelineFidelity, FlowModeReproducesCentralMilestonesOnF2Tree) {
   ASSERT_TRUE(fp.converged());
   ASSERT_TRUE(ff.converged());
   EXPECT_EQ(ff.converged_at, fp.converged_at);
+  EXPECT_EQ(ff.packets_lost, fp.packets_lost);
+  EXPECT_EQ(ff.packets_lost, flow.packets_lost);
+}
+
+// Fat-8 C1 under the controller: the run the loss under-report was seen
+// on (flow fidelity printed 0 lost in the gap against 1,140 lost). Both
+// fidelities must journal the same drops — when, why and where.
+TEST(TimelineFidelity, FlowModeJournalsPacketLossOnFatTreeCentral) {
+  const auto pkt = run_c1("fat", core::ControlPlane::kCentral,
+                          core::Fidelity::kPacket, 8);
+  const auto flow = run_c1("fat", core::ControlPlane::kCentral,
+                           core::Fidelity::kFlow, 8);
+  ASSERT_TRUE(pkt.ok);
+  ASSERT_TRUE(flow.ok);
+  ASSERT_EQ(flow.packets_lost, pkt.packets_lost);
+  EXPECT_GT(pkt.packets_lost, 0u);
+
+  const auto fp = first_failure(pkt);
+  const auto ff = first_failure(flow);
+  EXPECT_EQ(fp.packets_lost, pkt.packets_lost);
+  EXPECT_EQ(ff.packets_lost, flow.packets_lost);
+
+  const auto pkt_drops = drops_of(pkt);
+  EXPECT_EQ(pkt_drops.size(), pkt.packets_lost);
+  EXPECT_TRUE(drops_of(flow) == pkt_drops);
 }
 
 }  // namespace
