@@ -453,6 +453,53 @@ else
   fail=1
 fi
 
+echo "== knob table: flags vs spec =="
+# Run knobs are one table that drives both the spec keys and the f2tsim
+# flags: the same probe + flap + workload campaign given either way must
+# produce a byte-identical artifact, and out-of-range flags must be
+# rejected up front (exit 1), not run or crash.
+cat >"$OUT/spec_knobs.json" <<'EOF'
+{"name": "knobs", "topologies": [{"name": "f2", "ports": 4}],
+ "conditions": ["C1"], "link_sites": 1, "seeds": 2,
+ "detection": "probe", "fault": "flap", "flap_period_ms": 80,
+ "flap_cycles": 3,
+ "workload": {"kind": "incast", "fanin": 4, "flow_bytes": 2000,
+              "deadline_ms": 100}}
+EOF
+if "$BUILD"/tools/f2tsim campaign --spec "$OUT/spec_knobs.json" --jobs 4 \
+      --no-profile --out "$OUT/campaign_knobs_spec.json" \
+      >"$OUT/campaign_knobs.txt" 2>&1 \
+    && "$BUILD"/tools/f2tsim campaign --name knobs --topo f2 --ports 4 \
+      --conditions C1 --link-sites 1 --seeds 2 --jobs 4 --no-profile \
+      --detection probe --fault flap --flap-period-ms 80 --flap-cycles 3 \
+      --workload incast --wl-fanin 4 --wl-flow-bytes 2000 --wl-deadline-ms 100 \
+      --out "$OUT/campaign_knobs_flags.json" >>"$OUT/campaign_knobs.txt" 2>&1; then
+  if cmp -s "$OUT/campaign_knobs_spec.json" "$OUT/campaign_knobs_flags.json"; then
+    echo "OK      flag and spec campaigns give byte-identical artifacts"
+  else
+    echo "BAD     flag and spec campaigns differ"
+    fail=1
+  fi
+else
+  echo "knob table smoke FAILED (see $OUT/campaign_knobs.txt)"
+  fail=1
+fi
+for bad in "campaign --seeds 0" "campaign --link-sites -3" \
+    "campaign --gray-loss 2" "campaign --control foo" \
+    "recover --detection probe --bfd-tx-ms 0"; do
+  # Word splitting of $bad is intended: it is a command plus its flags.
+  # shellcheck disable=SC2086
+  "$BUILD"/tools/f2tsim $bad --topo f2 --ports 4 \
+      >>"$OUT/campaign_knobs.txt" 2>&1
+  rc=$?
+  if [ "$rc" -eq 1 ]; then
+    echo "OK      f2tsim $bad rejected"
+  else
+    echo "BAD     f2tsim $bad exited $rc, expected 1"
+    fail=1
+  fi
+done
+
 echo "== benches =="
 for b in "$BUILD"/bench/bench_*; do
   [ -x "$b" ] || continue

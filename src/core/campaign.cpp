@@ -6,7 +6,10 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
+#include "core/cli.hpp"
 #include "core/runner.hpp"
 #include "net/network.hpp"
 #include "sim/random.hpp"
@@ -21,50 +24,289 @@ namespace {
 /// the simulation stream that runs it (both derive from the shard seed).
 constexpr std::uint64_t kRandomSiteDrawStream = 0x5117eed;
 
-failure::Condition parse_condition_name(const std::string& text) {
-  for (const auto c :
-       {failure::Condition::kC1, failure::Condition::kC2,
-        failure::Condition::kC3, failure::Condition::kC4,
-        failure::Condition::kC5, failure::Condition::kC6,
-        failure::Condition::kC7, failure::Condition::kC8}) {
-    if (text == failure::condition_name(c)) return c;
+/// The paper's Table IV conditions: what "all" means on the condition
+/// axis, and what a bare ad hoc campaign sweeps.
+std::vector<failure::Condition> all_conditions() {
+  using failure::Condition;
+  return {Condition::kC1, Condition::kC2, Condition::kC3, Condition::kC4,
+          Condition::kC5, Condition::kC6, Condition::kC7};
+}
+
+/// The spec key of the workload object; the kind row's flag (--workload
+/// KIND) switches the axis on from the command line.
+constexpr std::string_view kWorkloadKey = "workload";
+
+using S = CampaignSpec;
+using W = CampaignSpec::WorkloadAxis;
+
+/// The knob table, in canonical echo order.
+const RunKnob kKnobs[] = {
+    {.key = "link_sites", .flag = "link-sites", .field = &S::link_sites,
+     .lo = -1, .all = true, .always_echoed = true, .campaign_only = true,
+     .help = "first N switch links as failure sites; all = every link"},
+    {.key = "seeds", .flag = "seeds", .field = &S::seeds, .lo = 1,
+     .always_echoed = true, .campaign_only = true,
+     .help = "replicates per topology, control and site"},
+    {.key = "base_seed", .flag = "base-seed", .field = &S::base_seed, .lo = 0,
+     .always_echoed = true, .campaign_only = true,
+     .help = "seed the per-shard streams derive from"},
+    {.key = "detection_ms", .flag = "detection-ms", .field = &S::detection_ms,
+     .lo = 0, .always_echoed = true, .help = "oracle detection delay, ms"},
+    {.key = "spf_ms", .flag = "spf-ms", .field = &S::spf_ms, .lo = 0,
+     .always_echoed = true, .help = "SPF throttle initial delay, ms"},
+    {.key = "fail_at_ms", .field = &S::fail_at, .lo = 0, .always_echoed = true,
+     .help = "failure instant, ms"},
+    {.key = "horizon_ms", .field = &S::horizon, .lo = 1, .always_echoed = true,
+     .help = "end of each run, ms (> fail_at_ms)"},
+    {.key = "detection", .flag = "detection", .field = &S::detection,
+     .choices = "oracle|probe", .help = "oracle delay or BFD hello probes"},
+    {.key = "bfd_tx_ms", .flag = "bfd-tx-ms", .field = &S::bfd_tx_ms, .lo = 1,
+     .help = "probe hello interval, ms"},
+    {.key = "bfd_multiplier", .flag = "bfd-multiplier",
+     .field = &S::bfd_multiplier, .lo = 1,
+     .help = "missed hellos before a session goes down"},
+    {.key = "dampening", .flag = "no-dampening", .field = &S::dampening,
+     .help = "probe-mode flap dampening (the flag turns it off)"},
+    {.key = "fault", .flag = "fault", .field = &S::fault,
+     .choices = "cut|unidir|gray|flap", .help = "how the planned links fail"},
+    {.key = "gray_loss", .flag = "gray-loss", .field = &S::gray_loss, .lo = 0,
+     .hi = 1, .help = "drop probability of a gray fault"},
+    {.key = "flap_period_ms", .flag = "flap-period-ms",
+     .field = &S::flap_period_ms, .lo = 1,
+     .help = "full down/up cycle of a flap fault, ms"},
+    {.key = "flap_cycles", .flag = "flap-cycles", .field = &S::flap_cycles,
+     .lo = 1, .help = "down/up cycles of a flap fault"},
+    {.key = "fidelity", .flag = "fidelity", .field = &S::fidelity,
+     .choices = "packet|flow", .help = "per-packet events or the fluid probe"},
+    {.key = "trace", .flag = "trace", .field = &S::trace, .campaign_only = true,
+     .help = "journal each shard and record its recovery spans"},
+    {.key = "sample_interval_ms", .flag = "sample-interval-ms",
+     .field = &S::sample_interval_ms, .lo = 0,
+     .help = "telemetry sample period, ms; 0 = off (recover: > 0, "
+             "default 10, used with --samples-out)"},
+    {.key = "random_sites", .flag = "random-sites", .field = &S::random_sites,
+     .lo = 0, .campaign_only = true,
+     .help = "random single-link failures per topology and control"},
+    {.key = "kind", .flag = kWorkloadKey, .field = &W::kind,
+     .choices = "poisson|incast",
+     .help = "adds a TCP background workload (spec: \"workload\" object)"},
+    {.key = "size_dist", .flag = "size-dist", .field = &W::size_dist,
+     .choices = "websearch|datamining", .help = "workload flow-size CDF"},
+    {.key = "load", .flag = "wl-load", .field = &W::load, .lo = 0, .hi = 1,
+     .lo_open = true, .help = "poisson offered load, fraction of uplink"},
+    {.key = "fanin", .flag = "wl-fanin", .field = &W::fanin, .lo = 1,
+     .help = "incast workers per round"},
+    {.key = "flow_bytes", .flag = "wl-flow-bytes", .field = &W::flow_bytes,
+     .lo = 1, .help = "incast bytes per worker"},
+    {.key = "deadline_ms", .flag = "wl-deadline-ms", .field = &W::deadline_ms,
+     .lo = 0, .help = "per-flow deadline, ms; 0 = best effort"},
+};
+
+/// The member a row's field points at, in `spec` or its workload axis.
+template <class Spec, class M>
+auto& member(Spec& spec, M m) {
+  if constexpr (std::is_invocable_v<M, Spec&>) {
+    return spec.*m;
+  } else {
+    return spec.workload.*m;
   }
-  throw std::invalid_argument("campaign: unknown condition \"" + text + "\"");
 }
 
-void check_known_keys(const json::Value& obj,
-                      std::initializer_list<std::string_view> known,
-                      const char* where) {
-  for (const auto& [key, value] : obj.as_object()) {
-    (void)value;
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      throw std::invalid_argument(std::string("campaign: unknown key \"") +
-                                  key + "\" in " + where);
-    }
-  }
+const CampaignSpec kDefaults;
+
+/// "campaign: workload.load (--wl-load)": how errors name a knob.
+std::string describe(const RunKnob& k) {
+  std::string text = "campaign: ";
+  if (k.in_workload()) text += std::string(kWorkloadKey) + ".";
+  text += k.key;
+  if (!k.flag.empty()) text += " (--" + std::string(k.flag) + ")";
+  return text;
 }
 
-/// Deterministic double rendering for the campaign artifact (shortest
-/// form up to 10 significant digits; -0 normalised).
-std::string fmt(double v) {
-  if (v == 0) return "0";
-  std::ostringstream os;
-  os << std::setprecision(10) << v;
-  return os.str();
-}
-
-/// Exact double rendering for the worker-protocol JSONL records: 17
-/// significant digits round-trip any finite double bit-for-bit, so a
-/// value that crossed a worker stream re-renders through fmt()
+/// Deterministic double rendering: the campaign artifact's shortest form
+/// up to 10 significant digits, -0 normalised. The worker-protocol JSONL
+/// records use kExact: 17 digits round-trip any finite double
+/// bit-for-bit, so a value that crossed a worker stream re-renders
 /// identically to one that never left the process.
-std::string fmt_exact(double v) {
+constexpr int kExact = 17;
+std::string fmt(double v, int digits = 10) {
   if (v == 0) return "0";
   std::ostringstream os;
-  os << std::setprecision(17) << v;
+  os << std::setprecision(digits) << v;
   return os.str();
+}
+
+/// Stores a spec or flag value into the row's member, checking only its
+/// type and representability; bounds are validate()'s.
+void set_value(const RunKnob& k, CampaignSpec& spec, const json::Value& v) {
+  try {
+    std::visit(
+        [&](auto m) {
+          auto& x = member(spec, m);
+          using T = std::decay_t<decltype(x)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            x = v.as_bool();
+          } else if constexpr (std::is_same_v<T, double>) {
+            x = v.as_double();
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            x = v.as_string();
+          } else if constexpr (std::is_same_v<T, failure::FaultKind>) {
+            const auto kind = failure::parse_fault_kind(v.as_string());
+            if (!kind) {
+              throw std::invalid_argument("unknown value \"" +
+                                          v.as_string() + "\" (" +
+                                          std::string(k.choices) + ")");
+            }
+            x = *kind;
+          } else if (k.all && v.is_string() && v.as_string() == "all") {
+            x = static_cast<T>(k.lo);
+          } else {
+            // Millisecond rows take an int, like every other integer knob.
+            using Raw =
+                std::conditional_t<std::is_same_v<T, sim::Time>, int, T>;
+            const std::int64_t i = v.as_int();
+            if (!std::in_range<Raw>(i)) {
+              throw std::invalid_argument("out of range");
+            }
+            x = std::is_same_v<T, sim::Time> ? sim::millis(i)
+                                             : static_cast<T>(i);
+          }
+        },
+        k.field);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(describe(k) + ": " + e.what());
+  }
+}
+
+void write_value(const RunKnob& k, const CampaignSpec& spec, std::ostream& os) {
+  std::visit(
+      [&](auto m) {
+        const auto& x = member(spec, m);
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          os << (x ? "true" : "false");
+        } else if constexpr (std::is_same_v<T, double>) {
+          os << fmt(x);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          os << "\"" << json::escape(x) << "\"";
+        } else if constexpr (std::is_same_v<T, failure::FaultKind>) {
+          os << "\"" << failure::fault_kind_name(x) << "\"";
+        } else if constexpr (std::is_same_v<T, sim::Time>) {
+          // Whole milliseconds print as integers: the default stream
+          // precision would turn 1234567 into 1.23457e+06.
+          if (x % sim::millis(1) == 0) {
+            os << x / sim::millis(1);
+          } else {
+            os << sim::to_millis(x);
+          }
+        } else {
+          os << x;
+        }
+      },
+      k.field);
+}
+
+bool at_default(const RunKnob& k, const CampaignSpec& spec) {
+  return std::visit(
+      [&](auto m) { return member(spec, m) == member(kDefaults, m); },
+      k.field);
+}
+
+/// Throws unless the row's value is within its bound or choices.
+void check_value(const RunKnob& k, const CampaignSpec& spec) {
+  std::visit(
+      [&](auto m) {
+        const auto& x = member(spec, m);
+        using T = std::decay_t<decltype(x)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          const std::string choices = "|" + std::string(k.choices) + "|";
+          if (x.find('|') == std::string::npos &&
+              choices.find("|" + x + "|") != std::string::npos) {
+            return;
+          }
+          throw std::invalid_argument(describe(k) + ": unknown value \"" + x +
+                                      "\" (" + std::string(k.choices) + ")");
+        } else if constexpr (std::is_arithmetic_v<T> &&
+                             !std::is_same_v<T, bool>) {
+          const double v = std::is_same_v<T, sim::Time>
+                               ? sim::to_millis(static_cast<sim::Time>(x))
+                               : static_cast<double>(x);
+          if (!(k.lo_open ? v > k.lo : v >= k.lo) || !(v <= k.hi)) {
+            throw std::invalid_argument(describe(k) + " = " + fmt(v) +
+                                        " is outside " +
+                                        (k.lo_open ? "(" : "[") + fmt(k.lo) +
+                                        ", " + fmt(k.hi) + "]");
+          }
+        }
+      },
+      k.field);
+}
+
+/// The row of `key` in the top level or the workload object; throws on
+/// an unknown key.
+const RunKnob& knob_of(std::string_view key, bool in_workload) {
+  for (const RunKnob& k : kKnobs) {
+    if (k.key == key && k.in_workload() == in_workload) return k;
+  }
+  throw std::invalid_argument("campaign: unknown key \"" + std::string(key) +
+                              "\" in " +
+                              std::string(in_workload ? kWorkloadKey : "spec"));
+}
+
+/// Reads the row's flag into `spec`; returns whether it was given. A
+/// boolean knob's flag flips its default (--no-dampening, --trace).
+bool read_flag(const RunKnob& k, Cli& cli, CampaignSpec& spec) {
+  const std::string flag(k.flag);
+  if (const auto* m = std::get_if<bool CampaignSpec::*>(&k.field)) {
+    const bool given = cli.get_flag(flag);
+    if (given) spec.*(*m) = !(kDefaults.*(*m));
+    return given;
+  }
+  const std::string text = cli.get(flag, "");
+  if (text.empty()) return false;
+  const bool word = !k.choices.empty() || (k.all && text == "all");
+  set_value(k, spec,
+            word ? json::Value::make_string(text)
+                 : json::Value::make_number(cli.get_double(flag, 0)));
+  return true;
+}
+
+failure::Condition condition_of(std::string_view name) {
+  const auto c = failure::parse_condition(name);
+  if (!c) {
+    throw std::invalid_argument("campaign: unknown condition \"" +
+                                std::string(name) + "\"");
+  }
+  return *c;
 }
 
 }  // namespace
+
+bool RunKnob::in_workload() const {
+  return std::visit(
+      [](auto m) { return !std::is_invocable_v<decltype(m), const S&>; },
+      field);
+}
+
+std::span<const RunKnob> run_knobs() { return kKnobs; }
+
+void write_knob_help(std::ostream& os) {
+  for (const RunKnob& k : kKnobs) {
+    if (k.flag.empty()) continue;
+    std::string usage = "--" + std::string(k.flag);
+    if (!k.choices.empty()) {
+      usage += " " + std::string(k.choices);
+    } else if (!std::holds_alternative<bool CampaignSpec::*>(k.field)) {
+      usage += k.all ? " N|all" : " N";
+    }
+    std::ostringstream value;
+    write_value(k, kDefaults, value);
+    os << "  " << std::left << std::setw(34) << usage << k.help << " ["
+       << (k.in_workload() ? std::string(kWorkloadKey) + "." : "") << k.key
+       << " = " << value.str() << "]" << (k.campaign_only ? " (campaign)" : "")
+       << "\n";
+  }
+}
 
 std::string CampaignSpec::TopologyAxis::label() const {
   return name + "-" + std::to_string(ports);
@@ -75,175 +317,123 @@ CampaignSpec CampaignSpec::parse(std::string_view text) {
 }
 
 CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
-  check_known_keys(doc,
-                   {"name", "topologies", "controls", "conditions",
-                    "link_sites", "seeds", "base_seed", "detection_ms",
-                    "spf_ms", "fail_at_ms", "horizon_ms", "detection",
-                    "bfd_tx_ms", "bfd_multiplier", "dampening", "fault",
-                    "gray_loss", "flap_period_ms", "flap_cycles", "fidelity",
-                    "trace", "sample_interval_ms", "random_sites", "workload"},
-                   "spec");
   CampaignSpec spec;
-  spec.name = doc.string_or("name", spec.name);
-
-  const json::Value& topologies = doc.at("topologies");
-  for (const json::Value& t : topologies.as_array()) {
-    check_known_keys(t, {"name", "ports", "ring_width", "aspen_f"},
-                     "topologies[]");
-    TopologyAxis axis;
-    axis.name = t.at("name").as_string();
-    axis.ports = static_cast<int>(t.at("ports").as_int());
-    axis.ring_width = static_cast<int>(t.int_or("ring_width", 2));
-    axis.aspen_f = static_cast<int>(t.int_or("aspen_f", 1));
-    spec.topologies.push_back(std::move(axis));
-  }
-  if (spec.topologies.empty()) {
-    throw std::invalid_argument("campaign: empty \"topologies\"");
-  }
-
-  if (const json::Value* controls = doc.find("controls")) {
-    for (const json::Value& c : controls->as_array()) {
-      const std::string& name = c.as_string();
-      if (name != "ospf" && name != "central" && name != "bgp") {
-        throw std::invalid_argument("campaign: unknown control \"" + name +
-                                    "\"");
+  for (const auto& [key, value] : doc.as_object()) {
+    if (key == "name") {
+      spec.name = value.as_string();
+    } else if (key == "topologies") {
+      for (const json::Value& t : value.as_array()) {
+        for (const auto& [tkey, tvalue] : t.as_object()) {
+          if (tkey != "name" && tkey != "ports" && tkey != "ring_width" &&
+              tkey != "aspen_f") {
+            throw std::invalid_argument("campaign: unknown key \"" + tkey +
+                                        "\" in topologies[]");
+          }
+        }
+        TopologyAxis axis;
+        axis.name = t.at("name").as_string();
+        axis.ports = static_cast<int>(t.at("ports").as_int());
+        axis.ring_width = static_cast<int>(t.int_or("ring_width", 2));
+        axis.aspen_f = static_cast<int>(t.int_or("aspen_f", 1));
+        spec.topologies.push_back(std::move(axis));
       }
-      spec.controls.push_back(name);
+    } else if (key == "controls") {
+      for (const json::Value& c : value.as_array()) {
+        spec.controls.push_back(c.as_string());
+      }
+    } else if (key == "conditions") {
+      if (value.is_string() && value.as_string() == "all") {
+        spec.conditions = all_conditions();
+      } else {
+        for (const json::Value& c : value.as_array()) {
+          spec.conditions.push_back(condition_of(c.as_string()));
+        }
+      }
+    } else if (key == kWorkloadKey) {
+      spec.workload.enabled = true;
+      for (const auto& [wkey, wvalue] : value.as_object()) {
+        set_value(knob_of(wkey, true), spec, wvalue);
+      }
+    } else {
+      set_value(knob_of(key, false), spec, value);
     }
   }
   if (spec.controls.empty()) spec.controls = {"ospf"};
+  spec.validate();
+  return spec;
+}
 
-  if (const json::Value* conditions = doc.find("conditions")) {
-    if (conditions->is_string() && conditions->as_string() == "all") {
-      spec.conditions = {failure::Condition::kC1, failure::Condition::kC2,
-                         failure::Condition::kC3, failure::Condition::kC4,
-                         failure::Condition::kC5, failure::Condition::kC6,
-                         failure::Condition::kC7};
-    } else {
-      for (const json::Value& c : conditions->as_array()) {
-        spec.conditions.push_back(parse_condition_name(c.as_string()));
-      }
+CampaignSpec CampaignSpec::from_flags(Cli& cli, FlagSet set) {
+  const bool recover = set == FlagSet::kRecover;
+  CampaignSpec spec;
+  if (!recover) spec.name = cli.get("name", "cli");
+  TopologyAxis axis;
+  axis.name = cli.get("topo", "f2");
+  axis.ports = cli.get_int("ports", 8);
+  axis.ring_width = cli.get_int("ring-width", 2);
+  axis.aspen_f = cli.get_int("aspen-f", 1);
+  spec.topologies = {axis};
+  spec.controls = {cli.get("control", "ospf")};
+  if (recover) {
+    spec.conditions = {condition_of(cli.get("condition", "C1"))};
+    spec.sample_interval_ms = 10;  // used only with --samples-out
+  } else if (const std::string list = cli.get("conditions", "");
+             list == "all") {
+    spec.conditions = all_conditions();
+  } else {
+    std::istringstream in(list);
+    for (std::string token; std::getline(in, token, ',');) {
+      spec.conditions.push_back(condition_of(token));
     }
   }
-
-  if (const json::Value* sites = doc.find("link_sites")) {
-    if (sites->is_string() && sites->as_string() == "all") {
-      spec.link_sites = -1;
-    } else {
-      spec.link_sites = static_cast<int>(sites->as_int());
-      if (spec.link_sites < 0) {
-        throw std::invalid_argument("campaign: negative link_sites");
-      }
+  for (const RunKnob& k : kKnobs) {
+    if (k.flag.empty() || (recover && k.campaign_only)) continue;
+    if (read_flag(k, cli, spec) && k.flag == kWorkloadKey) {
+      spec.workload.enabled = true;
     }
   }
-  spec.seeds = static_cast<int>(doc.int_or("seeds", 1));
-  if (spec.seeds < 1) throw std::invalid_argument("campaign: seeds < 1");
-  spec.base_seed = static_cast<std::uint64_t>(doc.int_or("base_seed", 1));
-  spec.detection_ms = static_cast<int>(doc.int_or("detection_ms", 60));
-  spec.spf_ms = static_cast<int>(doc.int_or("spf_ms", 200));
-  spec.fail_at = sim::millis(doc.int_or("fail_at_ms", 380));
-  spec.horizon = sim::millis(doc.int_or("horizon_ms", 3000));
-  if (spec.horizon <= spec.fail_at) {
-    throw std::invalid_argument("campaign: horizon_ms <= fail_at_ms");
-  }
-
-  spec.detection = doc.string_or("detection", spec.detection);
-  if (spec.detection != "oracle" && spec.detection != "probe") {
-    throw std::invalid_argument("campaign: unknown detection \"" +
-                                spec.detection + "\" (oracle|probe)");
-  }
-  spec.bfd_tx_ms = static_cast<int>(doc.int_or("bfd_tx_ms", spec.bfd_tx_ms));
-  spec.bfd_multiplier =
-      static_cast<int>(doc.int_or("bfd_multiplier", spec.bfd_multiplier));
-  if (spec.bfd_tx_ms < 1 || spec.bfd_multiplier < 1) {
-    throw std::invalid_argument("campaign: bfd_tx_ms/bfd_multiplier < 1");
-  }
-  spec.dampening = doc.bool_or("dampening", spec.dampening);
-  if (const json::Value* fault = doc.find("fault")) {
-    const auto kind = failure::parse_fault_kind(fault->as_string());
-    if (!kind) {
-      throw std::invalid_argument("campaign: unknown fault \"" +
-                                  fault->as_string() +
-                                  "\" (cut|unidir|gray|flap)");
-    }
-    spec.fault = *kind;
-  }
-  spec.gray_loss = doc.number_or("gray_loss", spec.gray_loss);
-  if (spec.gray_loss < 0 || spec.gray_loss > 1) {
-    throw std::invalid_argument("campaign: gray_loss outside [0, 1]");
-  }
-  spec.flap_period_ms =
-      static_cast<int>(doc.int_or("flap_period_ms", spec.flap_period_ms));
-  spec.flap_cycles =
-      static_cast<int>(doc.int_or("flap_cycles", spec.flap_cycles));
-  if (spec.flap_period_ms < 1 || spec.flap_cycles < 1) {
-    throw std::invalid_argument("campaign: flap_period_ms/flap_cycles < 1");
-  }
-  spec.fidelity = doc.string_or("fidelity", spec.fidelity);
-  if (spec.fidelity != "packet" && spec.fidelity != "flow") {
-    throw std::invalid_argument("campaign: unknown fidelity \"" +
-                                spec.fidelity + "\" (packet|flow)");
-  }
-  spec.trace = doc.bool_or("trace", spec.trace);
-  spec.sample_interval_ms = static_cast<int>(
-      doc.int_or("sample_interval_ms", spec.sample_interval_ms));
-  if (spec.sample_interval_ms < 0) {
-    throw std::invalid_argument("campaign: negative sample_interval_ms");
-  }
-  spec.random_sites =
-      static_cast<int>(doc.int_or("random_sites", spec.random_sites));
-  if (spec.random_sites < 0) {
-    throw std::invalid_argument("campaign: negative random_sites");
-  }
-  if (const json::Value* workload = doc.find("workload")) {
-    check_known_keys(*workload,
-                     {"kind", "size_dist", "load", "fanin", "flow_bytes",
-                      "deadline_ms"},
-                     "workload");
-    WorkloadAxis& wl = spec.workload;
-    wl.enabled = true;
-    wl.kind = workload->string_or("kind", wl.kind);
-    if (wl.kind != "poisson" && wl.kind != "incast") {
-      throw std::invalid_argument("campaign: unknown workload kind \"" +
-                                  wl.kind + "\" (poisson|incast)");
-    }
-    wl.size_dist = workload->string_or("size_dist", wl.size_dist);
-    if (wl.size_dist != "websearch" && wl.size_dist != "datamining") {
-      throw std::invalid_argument("campaign: unknown workload size_dist \"" +
-                                  wl.size_dist +
-                                  "\" (websearch|datamining)");
-    }
-    wl.load = workload->number_or("load", wl.load);
-    if (!(wl.load > 0) || wl.load > 1) {
-      throw std::invalid_argument("campaign: workload load outside (0, 1]");
-    }
-    wl.fanin = static_cast<int>(workload->int_or("fanin", wl.fanin));
-    if (wl.fanin < 1) {
-      throw std::invalid_argument("campaign: workload fanin < 1");
-    }
-    wl.flow_bytes = static_cast<std::uint64_t>(workload->int_or(
-        "flow_bytes", static_cast<std::int64_t>(wl.flow_bytes)));
-    if (wl.flow_bytes < 1) {
-      throw std::invalid_argument("campaign: workload flow_bytes < 1");
-    }
-    wl.deadline_ms =
-        static_cast<int>(workload->int_or("deadline_ms", wl.deadline_ms));
-    if (wl.deadline_ms < 0) {
-      throw std::invalid_argument("campaign: negative workload deadline_ms");
-    }
-    if (spec.fidelity == "flow") {
-      throw std::invalid_argument(
-          "campaign: workload requires packet fidelity (the fluid probe "
-          "has no host stacks to carry TCP flows)");
-    }
+  // Workload flags without --workload are inert.
+  if (!spec.workload.enabled) spec.workload = WorkloadAxis{};
+  if (recover && spec.sample_interval_ms <= 0) {
+    throw std::invalid_argument("recover: the sample interval must be > 0 ms");
   }
   if (spec.conditions.empty() && spec.link_sites == 0 &&
       spec.random_sites == 0) {
+    spec.conditions = all_conditions();
+  }
+  spec.validate();
+  return spec;
+}
+
+void CampaignSpec::validate() const {
+  if (topologies.empty()) {
+    throw std::invalid_argument("campaign: empty \"topologies\"");
+  }
+  if (controls.empty()) {
+    throw std::invalid_argument("campaign: empty \"controls\"");
+  }
+  for (const std::string& control : controls) {
+    if (!parse_control_plane(control)) {
+      throw std::invalid_argument("campaign: unknown control \"" + control +
+                                  "\" (ospf|central|bgp)");
+    }
+  }
+  for (const RunKnob& k : kKnobs) {
+    if (workload.enabled || !k.in_workload()) check_value(k, *this);
+  }
+  if (horizon <= fail_at) {
+    throw std::invalid_argument("campaign: horizon_ms <= fail_at_ms");
+  }
+  if (workload.enabled && fidelity == "flow") {
+    throw std::invalid_argument(
+        "campaign: workload requires packet fidelity (the fluid probe "
+        "has no host stacks to carry TCP flows)");
+  }
+  if (conditions.empty() && link_sites == 0 && random_sites == 0) {
     throw std::invalid_argument(
         "campaign: no failure sites (need conditions, link_sites and/or "
         "random_sites)");
   }
-  return spec;
 }
 
 void CampaignSpec::write_json(std::ostream& os, int indent) const {
@@ -265,63 +455,26 @@ void CampaignSpec::write_json(std::ostream& os, int indent) const {
     os << (i ? ", " : "") << "\"" << failure::condition_name(conditions[i])
        << "\"";
   }
-  os << "],\n"
-     << pad << "  \"link_sites\": " << link_sites << ",\n"
-     << pad << "  \"seeds\": " << seeds << ",\n"
-     << pad << "  \"base_seed\": " << base_seed << ",\n"
-     << pad << "  \"detection_ms\": " << detection_ms << ",\n"
-     << pad << "  \"spf_ms\": " << spf_ms << ",\n"
-     << pad << "  \"fail_at_ms\": " << sim::to_millis(fail_at) << ",\n"
-     << pad << "  \"horizon_ms\": " << sim::to_millis(horizon);
-  // Detection/fault axes appear only when they differ from the defaults,
-  // so a spec that predates them echoes byte-identically.
-  const CampaignSpec defaults;
-  if (detection != defaults.detection) {
-    os << ",\n" << pad << "  \"detection\": \"" << detection << "\"";
-  }
-  if (bfd_tx_ms != defaults.bfd_tx_ms) {
-    os << ",\n" << pad << "  \"bfd_tx_ms\": " << bfd_tx_ms;
-  }
-  if (bfd_multiplier != defaults.bfd_multiplier) {
-    os << ",\n" << pad << "  \"bfd_multiplier\": " << bfd_multiplier;
-  }
-  if (dampening != defaults.dampening) {
-    os << ",\n" << pad << "  \"dampening\": " << (dampening ? "true" : "false");
-  }
-  if (fault != defaults.fault) {
-    os << ",\n"
-       << pad << "  \"fault\": \"" << failure::fault_kind_name(fault) << "\"";
-  }
-  if (gray_loss != defaults.gray_loss) {
-    os << ",\n" << pad << "  \"gray_loss\": " << fmt(gray_loss);
-  }
-  if (flap_period_ms != defaults.flap_period_ms) {
-    os << ",\n" << pad << "  \"flap_period_ms\": " << flap_period_ms;
-  }
-  if (flap_cycles != defaults.flap_cycles) {
-    os << ",\n" << pad << "  \"flap_cycles\": " << flap_cycles;
-  }
-  if (fidelity != defaults.fidelity) {
-    os << ",\n" << pad << "  \"fidelity\": \"" << fidelity << "\"";
-  }
-  if (trace != defaults.trace) {
-    os << ",\n" << pad << "  \"trace\": " << (trace ? "true" : "false");
-  }
-  if (sample_interval_ms != defaults.sample_interval_ms) {
-    os << ",\n"
-       << pad << "  \"sample_interval_ms\": " << sample_interval_ms;
-  }
-  if (random_sites != defaults.random_sites) {
-    os << ",\n" << pad << "  \"random_sites\": " << random_sites;
+  os << "]";
+  // Rows not always echoed appear only when they differ from the
+  // defaults, so a spec that predates them echoes byte-identically.
+  for (const RunKnob& k : kKnobs) {
+    if (k.in_workload() || (!k.always_echoed && at_default(k, *this))) {
+      continue;
+    }
+    os << ",\n" << pad << "  \"" << k.key << "\": ";
+    write_value(k, *this, os);
   }
   if (workload.enabled) {
-    os << ",\n"
-       << pad << "  \"workload\": {\"kind\": \"" << workload.kind
-       << "\", \"size_dist\": \"" << workload.size_dist
-       << "\", \"load\": " << fmt(workload.load)
-       << ", \"fanin\": " << workload.fanin
-       << ", \"flow_bytes\": " << workload.flow_bytes
-       << ", \"deadline_ms\": " << workload.deadline_ms << "}";
+    os << ",\n" << pad << "  \"" << kWorkloadKey << "\": {";
+    const char* sep = "";
+    for (const RunKnob& k : kKnobs) {
+      if (!k.in_workload()) continue;
+      os << sep << "\"" << k.key << "\": ";
+      write_value(k, *this, os);
+      sep = ", ";
+    }
+    os << "}";
   }
   os << "\n" << pad << "}";
 }
@@ -444,6 +597,38 @@ std::vector<ClassAggregate> aggregate_runs(
   return out;
 }
 
+SloAggregate aggregate_slo(const std::vector<ShardResult>& runs) {
+  SloAggregate agg;
+  double missed_in = 0;
+  double missed_out = 0;
+  for (const ShardResult& r : runs) {
+    if (!r.slo) continue;
+    ++agg.runs;
+    agg.flows += r.slo_flows;
+    agg.completed += r.slo_completed;
+    agg.deadline_flows_in += r.slo_deadline_in;
+    agg.deadline_flows_out += r.slo_deadline_out;
+    missed_in += r.slo_miss_in * static_cast<double>(r.slo_deadline_in);
+    missed_out += r.slo_miss_out * static_cast<double>(r.slo_deadline_out);
+    agg.fct_p50_ms_mean += r.fct_p50_ms;
+    agg.fct_p99_ms_mean += r.fct_p99_ms;
+    agg.fct_p999_ms_mean += r.fct_p999_ms;
+    agg.fct_p99_ms_max = std::max(agg.fct_p99_ms_max, r.fct_p99_ms);
+    agg.fct_p999_ms_max = std::max(agg.fct_p999_ms_max, r.fct_p999_ms);
+  }
+  const double n = agg.runs > 0 ? static_cast<double>(agg.runs) : 1;
+  agg.fct_p50_ms_mean /= n;
+  agg.fct_p99_ms_mean /= n;
+  agg.fct_p999_ms_mean /= n;
+  if (agg.deadline_flows_in > 0) {
+    agg.miss_in = missed_in / static_cast<double>(agg.deadline_flows_in);
+  }
+  if (agg.deadline_flows_out > 0) {
+    agg.miss_out = missed_out / static_cast<double>(agg.deadline_flows_out);
+  }
+  return agg;
+}
+
 std::vector<SurvivabilityAggregate> aggregate_survivability(
     const std::vector<ShardResult>& runs, sim::Time window) {
   std::vector<std::string> keys;
@@ -521,10 +706,7 @@ CampaignSpec survivability_spec(
   spec.name = "survivability";
   spec.topologies = topologies;
   spec.controls = {"ospf"};
-  spec.conditions.clear();
-  spec.link_sites = 0;
   spec.random_sites = draws;
-  spec.seeds = 1;
   spec.base_seed = base_seed;
   return spec;
 }
@@ -591,40 +773,63 @@ std::vector<std::pair<int, int>> contiguous_ranges(
   return ranges;
 }
 
-void write_shard_record(std::ostream& os, const ShardResult& r) {
-  os << "{\"v\": 1, \"i\": " << r.index << ", \"topo\": \""
-     << json::escape(r.topology) << "\", \"control\": \""
-     << json::escape(r.control) << "\", \"site\": \"" << json::escape(r.site)
-     << "\", \"class\": \"" << json::escape(r.site_class)
-     << "\", \"rep\": " << r.replicate << ", \"seed\": \"" << r.seed
+namespace {
+
+/// One run's fields, shared by the artifact's "runs" rows and the worker
+/// JSONL records. A record (no spec) carries every field at exact
+/// precision; an artifact row carries the observability and SLO fields
+/// only when its spec asked for them, so the row shape is uniform.
+void write_run_fields(std::ostream& os, const ShardResult& r,
+                      const CampaignSpec* spec) {
+  const bool record = spec == nullptr;
+  const int digits = record ? kExact : 10;
+  os << "\"i\": " << r.index << ", \"topo\": \"" << json::escape(r.topology)
+     << "\", \"control\": \"" << json::escape(r.control) << "\", \"site\": \""
+     << json::escape(r.site) << "\", \"class\": \""
+     << json::escape(r.site_class) << "\", \"rep\": " << r.replicate
+     << ", \"seed\": \"" << r.seed
      << "\", \"ok\": " << (r.ok ? "true" : "false")
      << ", \"on_path\": " << (r.on_path ? "true" : "false")
      << ", \"loss_ns\": " << r.connectivity_loss
      << ", \"sent\": " << r.packets_sent << ", \"lost\": " << r.packets_lost
-     << ", \"events\": " << r.events_executed
-     << ", \"wall\": " << fmt_exact(r.wall_seconds) << ", \"scenario\": \""
-     << json::escape(r.scenario) << "\", \"spans\": " << r.spans
-     << ", \"detect_ns\": " << r.detect_ns
-     << ", \"converge_ns\": " << r.converge_ns
-     << ", \"samples\": " << r.samples;
-  if (r.queue_rollup) {
-    os << ", \"queue_p99\": " << fmt_exact(r.queue_p99)
-       << ", \"queue_max\": " << fmt_exact(r.queue_max);
+     << ", \"events\": " << r.events_executed;
+  if (record) {
+    os << ", \"wall\": " << fmt(r.wall_seconds, kExact) << ", \"scenario\": \""
+       << json::escape(r.scenario) << "\"";
   }
-  if (r.slo) {
+  if (record || spec->trace) {
+    os << ", \"spans\": " << r.spans << ", \"detect_ns\": " << r.detect_ns
+       << ", \"converge_ns\": " << r.converge_ns;
+  }
+  if (record || spec->sample_interval_ms > 0) {
+    os << ", \"samples\": " << r.samples;
+    // A missing queue rollup is an omitted key, not a fabricated 0.
+    if (r.queue_rollup) {
+      os << ", \"queue_p99\": " << fmt(r.queue_p99, digits)
+         << ", \"queue_max\": " << fmt(r.queue_max, digits);
+    }
+  }
+  if (r.slo && (record || spec->workload.enabled)) {
     os << ", \"slo_flows\": " << r.slo_flows
        << ", \"slo_completed\": " << r.slo_completed
-       << ", \"fct_p50_ms\": " << fmt_exact(r.fct_p50_ms)
-       << ", \"fct_p99_ms\": " << fmt_exact(r.fct_p99_ms)
-       << ", \"fct_p999_ms\": " << fmt_exact(r.fct_p999_ms)
+       << ", \"fct_p50_ms\": " << fmt(r.fct_p50_ms, digits)
+       << ", \"fct_p99_ms\": " << fmt(r.fct_p99_ms, digits)
+       << ", \"fct_p999_ms\": " << fmt(r.fct_p999_ms, digits)
        << ", \"dl_in\": " << r.slo_deadline_in
        << ", \"dl_out\": " << r.slo_deadline_out
-       << ", \"miss_in\": " << fmt_exact(r.slo_miss_in)
-       << ", \"miss_out\": " << fmt_exact(r.slo_miss_out);
+       << ", \"miss_in\": " << fmt(r.slo_miss_in, digits)
+       << ", \"miss_out\": " << fmt(r.slo_miss_out, digits);
   }
   if (!r.error.empty()) {
     os << ", \"error\": \"" << json::escape(r.error) << "\"";
   }
+}
+
+}  // namespace
+
+void write_shard_record(std::ostream& os, const ShardResult& r) {
+  os << "{\"v\": 1, ";
+  write_run_fields(os, r, nullptr);
   os << "}\n";
 }
 
@@ -714,48 +919,8 @@ void CampaignResult::write_json(std::ostream& os,
   spec.write_json(os, 2);
   os << ",\n  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const ShardResult& r = runs[i];
-    os << "    {\"i\": " << r.index << ", \"topo\": \""
-       << json::escape(r.topology) << "\", \"control\": \"" << r.control
-       << "\", \"site\": \"" << json::escape(r.site) << "\", \"class\": \""
-       << json::escape(r.site_class) << "\", \"rep\": " << r.replicate
-       << ", \"seed\": \"" << r.seed << "\", \"ok\": "
-       << (r.ok ? "true" : "false")
-       << ", \"on_path\": " << (r.on_path ? "true" : "false")
-       << ", \"loss_ns\": " << r.connectivity_loss
-       << ", \"sent\": " << r.packets_sent << ", \"lost\": " << r.packets_lost
-       << ", \"events\": " << r.events_executed;
-    // Observability fields ride along only when the spec asked for the
-    // corresponding axis — the emission condition is the *spec*, not the
-    // per-run values, so the record shape is uniform and deterministic.
-    if (spec.trace) {
-      os << ", \"spans\": " << r.spans << ", \"detect_ns\": " << r.detect_ns
-         << ", \"converge_ns\": " << r.converge_ns;
-    }
-    if (spec.sample_interval_ms > 0) {
-      os << ", \"samples\": " << r.samples;
-      // The queue rollup is emitted only when the sampler actually
-      // retained rows with a queue-depth series; a missing rollup is an
-      // omitted key, not a fabricated 0.
-      if (r.queue_rollup) {
-        os << ", \"queue_p99\": " << fmt(r.queue_p99)
-           << ", \"queue_max\": " << fmt(r.queue_max);
-      }
-    }
-    if (spec.workload.enabled && r.slo) {
-      os << ", \"slo_flows\": " << r.slo_flows
-         << ", \"slo_completed\": " << r.slo_completed
-         << ", \"fct_p50_ms\": " << fmt(r.fct_p50_ms)
-         << ", \"fct_p99_ms\": " << fmt(r.fct_p99_ms)
-         << ", \"fct_p999_ms\": " << fmt(r.fct_p999_ms)
-         << ", \"dl_in\": " << r.slo_deadline_in
-         << ", \"dl_out\": " << r.slo_deadline_out
-         << ", \"miss_in\": " << fmt(r.slo_miss_in)
-         << ", \"miss_out\": " << fmt(r.slo_miss_out);
-    }
-    if (!r.error.empty()) {
-      os << ", \"error\": \"" << json::escape(r.error) << "\"";
-    }
+    os << "    {";
+    write_run_fields(os, runs[i], &spec);
     os << "}" << (i + 1 < runs.size() ? "," : "") << "\n";
   }
   os << "  ],\n  \"aggregates\": [\n";
@@ -800,52 +965,18 @@ void CampaignResult::write_json(std::ostream& os,
     os << "  ]}";
   }
   if (spec.workload.enabled) {
-    // Campaign-level SLO rollup over the shards that carried the
-    // workload: flow totals, the mean/max of the per-run FCT tail
-    // percentiles, and the *pooled* deadline-miss fractions (weighted by
-    // each run's deadline-bearing flow count — a run with 10x the flows
-    // moves the pooled fraction 10x as much).
-    int slo_runs = 0;
-    std::size_t flows = 0;
-    std::size_t completed = 0;
-    std::size_t dl_in = 0;
-    std::size_t dl_out = 0;
-    double missed_in = 0;
-    double missed_out = 0;
-    double p50_sum = 0;
-    double p99_sum = 0;
-    double p999_sum = 0;
-    double p99_max = 0;
-    double p999_max = 0;
-    for (const ShardResult& r : runs) {
-      if (!r.slo) continue;
-      ++slo_runs;
-      flows += r.slo_flows;
-      completed += r.slo_completed;
-      dl_in += r.slo_deadline_in;
-      dl_out += r.slo_deadline_out;
-      missed_in += r.slo_miss_in * static_cast<double>(r.slo_deadline_in);
-      missed_out += r.slo_miss_out * static_cast<double>(r.slo_deadline_out);
-      p50_sum += r.fct_p50_ms;
-      p99_sum += r.fct_p99_ms;
-      p999_sum += r.fct_p999_ms;
-      p99_max = std::max(p99_max, r.fct_p99_ms);
-      p999_max = std::max(p999_max, r.fct_p999_ms);
-    }
-    const double n = slo_runs > 0 ? static_cast<double>(slo_runs) : 1;
-    os << ",\n  \"slo\": {\"runs\": " << slo_runs << ", \"flows\": " << flows
-       << ", \"completed\": " << completed
-       << ", \"fct_p50_ms_mean\": " << fmt(p50_sum / n)
-       << ", \"fct_p99_ms_mean\": " << fmt(p99_sum / n)
-       << ", \"fct_p999_ms_mean\": " << fmt(p999_sum / n)
-       << ", \"fct_p99_ms_max\": " << fmt(p99_max)
-       << ", \"fct_p999_ms_max\": " << fmt(p999_max)
-       << ", \"deadline_flows_in\": " << dl_in
-       << ", \"deadline_flows_out\": " << dl_out << ", \"miss_in\": "
-       << fmt(dl_in > 0 ? missed_in / static_cast<double>(dl_in) : 0)
-       << ", \"miss_out\": "
-       << fmt(dl_out > 0 ? missed_out / static_cast<double>(dl_out) : 0)
-       << "}";
+    const SloAggregate slo = aggregate_slo(runs);
+    os << ",\n  \"slo\": {\"runs\": " << slo.runs
+       << ", \"flows\": " << slo.flows << ", \"completed\": " << slo.completed
+       << ", \"fct_p50_ms_mean\": " << fmt(slo.fct_p50_ms_mean)
+       << ", \"fct_p99_ms_mean\": " << fmt(slo.fct_p99_ms_mean)
+       << ", \"fct_p999_ms_mean\": " << fmt(slo.fct_p999_ms_mean)
+       << ", \"fct_p99_ms_max\": " << fmt(slo.fct_p99_ms_max)
+       << ", \"fct_p999_ms_max\": " << fmt(slo.fct_p999_ms_max)
+       << ", \"deadline_flows_in\": " << slo.deadline_flows_in
+       << ", \"deadline_flows_out\": " << slo.deadline_flows_out
+       << ", \"miss_in\": " << fmt(slo.miss_in)
+       << ", \"miss_out\": " << fmt(slo.miss_out) << "}";
   }
   if (include_profile) {
     double shard_wall = 0;

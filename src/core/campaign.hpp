@@ -2,9 +2,12 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/json.hpp"
@@ -12,6 +15,16 @@
 #include "sim/time.hpp"
 
 namespace f2t::core {
+
+class Cli;
+
+/// Which f2tsim command's flags CampaignSpec::from_flags reads.
+enum class FlagSet {
+  kCampaign,  ///< ad hoc `f2tsim campaign`: every knob row with a flag
+  /// `f2tsim recover`: a one-shard spec (one topology, one control, one
+  /// --condition) that takes every knob flag not marked campaign-only.
+  kRecover,
+};
 
 /// Declarative description of a failure-injection campaign: the cartesian
 /// matrix of topologies x control planes x failure sites x seed
@@ -110,15 +123,65 @@ struct CampaignSpec {
   int random_sites = 0;
 
   /// Builds a spec from parsed JSON; throws std::invalid_argument on
-  /// missing/mistyped fields and on unknown keys (typos must fail loudly,
-  /// not silently run a default campaign).
+  /// mistyped fields, on unknown keys (typos must fail loudly, not
+  /// silently run a default campaign) and on anything validate() rejects.
   static CampaignSpec from_json(const json::Value& doc);
   static CampaignSpec parse(std::string_view text);
+  /// Builds a spec from f2tsim flags: --topo/--ports/--ring-width/
+  /// --aspen-f, --control, the condition axis, and one flag per knob row
+  /// of run_knobs(). Ends in validate(), like from_json. A bare ad hoc
+  /// campaign sweeps the Table IV conditions C1..C7.
+  static CampaignSpec from_flags(Cli& cli, FlagSet set = FlagSet::kCampaign);
+
+  /// Throws std::invalid_argument unless every knob is within its row's
+  /// bound or choices (workload rows only when the axis is on), every
+  /// control names a control plane, horizon > fail_at, a workload runs at
+  /// packet fidelity and there is at least one failure site.
+  void validate() const;
 
   /// Canonical JSON echo (stable field order, independent of the input's
   /// textual layout) — part of the deterministic campaign artifact.
   void write_json(std::ostream& os, int indent = 0) const;
 };
+
+/// One run knob of a CampaignSpec: its spec key, its f2tsim flag, a typed
+/// binding to the member, the member's bound and a help line. The table
+/// of them (run_knobs()) alone drives from_json's keys, validate(),
+/// write_json's echo, from_flags and the flag help, so a new knob is one
+/// row. Defaults are CampaignSpec's member initializers. The axes (name,
+/// topologies, controls, conditions) are parsed by hand.
+struct RunKnob {
+  using Workload = CampaignSpec::WorkloadAxis;
+  /// The bound member. sim::Time members are whole milliseconds in specs
+  /// and flags. Workload members live in the spec's "workload" object,
+  /// which the kind row's flag (--workload KIND) switches on.
+  using Field = std::variant<
+      int CampaignSpec::*, std::uint64_t CampaignSpec::*,
+      double CampaignSpec::*, bool CampaignSpec::*, std::string CampaignSpec::*,
+      sim::Time CampaignSpec::*, failure::FaultKind CampaignSpec::*,
+      int Workload::*, std::uint64_t Workload::*, double Workload::*,
+      std::string Workload::*>;
+
+  std::string_view key{};   ///< spec key
+  std::string_view flag{};  ///< f2tsim flag without "--"; empty = spec only
+  Field field{};
+  /// Numeric bound [lo, hi], or (lo, hi] when lo_open.
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool lo_open = false;
+  std::string_view choices{};  ///< "a|b" for string-valued members
+  bool all = false;            ///< also takes "all", stored as lo
+  bool always_echoed = false;  ///< echoed even at its default
+  bool campaign_only = false;  ///< not an `f2tsim recover` flag
+  std::string_view help{};
+
+  bool in_workload() const;  ///< a member of the "workload" object
+};
+
+std::span<const RunKnob> run_knobs();
+
+/// One help line per knob flag, for f2tsim's usage text.
+void write_knob_help(std::ostream& os);
 
 /// One independent simulation of the campaign matrix. Shards are
 /// enumerated in a deterministic order, and each carries its own RNG
@@ -226,6 +289,28 @@ struct ClassAggregate {
 
 std::vector<ClassAggregate> aggregate_runs(
     const std::vector<ShardResult>& runs);
+
+/// Campaign-level SLO rollup over the runs that carried the workload
+/// (ShardResult::slo): flow totals, the mean and max of the per-run FCT
+/// tail percentiles, and the *pooled* deadline-miss fractions, weighted
+/// by each run's deadline-bearing flow count (a run with 10x the flows
+/// moves the pooled fraction 10x as much).
+struct SloAggregate {
+  int runs = 0;
+  std::size_t flows = 0;
+  std::size_t completed = 0;
+  double fct_p50_ms_mean = 0;
+  double fct_p99_ms_mean = 0;
+  double fct_p999_ms_mean = 0;
+  double fct_p99_ms_max = 0;
+  double fct_p999_ms_max = 0;
+  std::size_t deadline_flows_in = 0;
+  std::size_t deadline_flows_out = 0;
+  double miss_in = 0;
+  double miss_out = 0;
+};
+
+SloAggregate aggregate_slo(const std::vector<ShardResult>& runs);
 
 /// Survivability aggregate over one "<topology>/<control>" group's
 /// random-failure draws ("R*" sites): availability (fraction of the

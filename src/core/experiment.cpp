@@ -7,6 +7,13 @@
 
 namespace f2t::core {
 
+std::optional<ControlPlane> parse_control_plane(std::string_view name) {
+  if (name == "ospf") return ControlPlane::kOspf;
+  if (name == "central") return ControlPlane::kCentral;
+  if (name == "bgp") return ControlPlane::kPathVector;
+  return std::nullopt;
+}
+
 Testbed::Testbed(const TopoBuilder& builder, const TestbedConfig& config)
     : config_(config),
       sim_(std::make_unique<sim::Simulator>(config.seed)),

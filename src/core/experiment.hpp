@@ -2,6 +2,8 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +33,9 @@ enum class BackupMode {
 /// protocol the paper evaluates, the §V centralized scheme, or the §V
 /// BGP-like path-vector protocol.
 enum class ControlPlane { kOspf, kCentral, kPathVector };
+
+/// Parses "ospf" / "central" / "bgp"; nullopt otherwise.
+std::optional<ControlPlane> parse_control_plane(std::string_view name);
 
 /// Everything a full-system run needs, assembled in one place.
 struct TestbedConfig {

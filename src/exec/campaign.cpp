@@ -5,22 +5,10 @@
 #include <stdexcept>
 #include <thread>
 
-#include "core/runner.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/trace.hpp"
 
 namespace f2t::exec {
-
-namespace {
-
-core::ControlPlane control_from_name(const std::string& name) {
-  if (name == "ospf") return core::ControlPlane::kOspf;
-  if (name == "central") return core::ControlPlane::kCentral;
-  if (name == "bgp") return core::ControlPlane::kPathVector;
-  throw std::invalid_argument("campaign: unknown control plane: " + name);
-}
-
-}  // namespace
 
 transport::WorkloadOptions workload_options_of(
     const core::CampaignSpec::WorkloadAxis& axis, sim::Time horizon) {
@@ -36,12 +24,16 @@ transport::WorkloadOptions workload_options_of(
   return wo;
 }
 
-core::ShardResult run_shard(const core::CampaignSpec& spec,
-                            const core::ShardSpec& shard) {
+core::RunKnobs knobs_of(const core::CampaignSpec& spec,
+                        const std::string& control, std::uint64_t seed) {
+  const auto plane = core::parse_control_plane(control);
+  if (!plane) {
+    throw std::invalid_argument("campaign: unknown control plane: " + control);
+  }
   core::RunKnobs knobs;
   knobs.fail_at = spec.fail_at;
   knobs.horizon = spec.horizon;
-  knobs.config.control_plane = control_from_name(shard.control);
+  knobs.config.control_plane = *plane;
   knobs.config.detection.down_delay = sim::millis(spec.detection_ms);
   knobs.config.detection.up_delay = knobs.config.detection.down_delay;
   if (spec.detection == "probe") {
@@ -51,7 +43,7 @@ core::ShardResult run_shard(const core::CampaignSpec& spec,
     knobs.config.bfd.dampening.enabled = spec.dampening;
   }
   knobs.config.ospf.throttle.initial_delay = sim::millis(spec.spf_ms);
-  knobs.config.seed = shard.seed;
+  knobs.config.seed = seed;
   knobs.config.observe = spec.trace;
   knobs.config.sample_interval = sim::millis(spec.sample_interval_ms);
   knobs.fault.kind = spec.fault;
@@ -66,7 +58,12 @@ core::ShardResult run_shard(const core::CampaignSpec& spec,
     knobs.workload_enabled = true;
     knobs.workload = workload_options_of(spec.workload, spec.horizon);
   }
+  return knobs;
+}
 
+core::ShardResult run_shard(const core::CampaignSpec& spec,
+                            const core::ShardSpec& shard) {
+  const core::RunKnobs knobs = knobs_of(spec, shard.control, shard.seed);
   const auto builder = core::topology_builder(
       shard.topology.name, shard.topology.ports, shard.topology.ring_width,
       shard.topology.aspen_f);

@@ -3,16 +3,23 @@
 #include <functional>
 
 #include "core/campaign.hpp"
+#include "core/runner.hpp"
 #include "transport/workload.hpp"
 
 namespace f2t::exec {
 
 /// Maps a spec's workload axis onto the generator options the runner
-/// consumes (CDF by name, kind, deadline in simulated time). Shared by
-/// run_shard and the CLI's one-off recover path so a standalone run
-/// reproduces a campaign shard's workload exactly.
+/// consumes (CDF by name, kind, deadline in simulated time); knobs_of
+/// uses it for every run that carries the workload.
 transport::WorkloadOptions workload_options_of(
     const core::CampaignSpec::WorkloadAxis& axis, sim::Time horizon);
+
+/// The one spec -> RunKnobs mapping: the knobs a run of `spec` uses
+/// under `control` with RNG seed `seed`. run_shard and `f2tsim recover`
+/// both build their runs through it, so a standalone run reproduces a
+/// campaign shard exactly.
+core::RunKnobs knobs_of(const core::CampaignSpec& spec,
+                        const std::string& control, std::uint64_t seed);
 
 /// Campaign engine: shards a core::CampaignSpec into independent
 /// simulations and runs them across a work-stealing ThreadPool.

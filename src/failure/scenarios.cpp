@@ -51,6 +51,14 @@ const char* condition_name(Condition c) {
   return "?";
 }
 
+std::optional<Condition> parse_condition(std::string_view name) {
+  for (int i = 0; i <= static_cast<int>(Condition::kC8); ++i) {
+    const auto c = static_cast<Condition>(i);
+    if (name == condition_name(c)) return c;
+  }
+  return std::nullopt;
+}
+
 bool condition_requires_f2(Condition c) {
   return c == Condition::kC6 || c == Condition::kC7 || c == Condition::kC8;
 }

@@ -41,6 +41,8 @@ TracedPath trace_route_detailed(const net::Host& src, const net::Host& dst,
 enum class Condition { kC1, kC2, kC3, kC4, kC5, kC6, kC7, kC8 };
 
 const char* condition_name(Condition c);
+/// Parses "C1".."C8"; nullopt otherwise.
+std::optional<Condition> parse_condition(std::string_view name);
 /// True for the conditions that only exist in F² topologies (they fail
 /// across links).
 bool condition_requires_f2(Condition c);

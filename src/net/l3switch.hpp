@@ -104,12 +104,6 @@ class L3Switch : public Node {
   void add_forward_tap(ForwardTap tap) {
     forward_taps_.push_back(std::move(tap));
   }
-  /// Compatibility shim for the historic single-tap API: *replaces* all
-  /// taps with `tap`. Prefer add_forward_tap.
-  void set_forward_tap(ForwardTap tap) {
-    forward_taps_.clear();
-    forward_taps_.push_back(std::move(tap));
-  }
   std::size_t forward_tap_count() const { return forward_taps_.size(); }
 
   void set_drop_handler(DropHandler handler) {

@@ -17,7 +17,14 @@ std::uint64_t key_of(net::NodeId node, net::PortId port) {
 }  // namespace
 
 BfdManager::BfdManager(net::Network& network, const BfdConfig& config)
-    : network_(network), config_(config) {}
+    : network_(network), config_(config) {
+  // The hello phase is taken modulo tx_interval, and a session with no
+  // hello clock or no missed-hello budget can never detect anything.
+  if (config_.tx_interval <= 0 || config_.miss_multiplier < 1) {
+    throw std::invalid_argument(
+        "BfdManager: tx_interval must be > 0 and miss_multiplier >= 1");
+  }
+}
 
 void BfdManager::attach_all() {
   for (net::Link* link : network_.links()) create_sessions(*link);

@@ -84,6 +84,8 @@ class BfdManager {
   enum class ObsEvent { kSessionUp, kSessionDown, kSuppress, kReuse };
   using ObsHook = std::function<void(ObsEvent, net::NodeId, net::PortId)>;
 
+  /// Throws std::invalid_argument when config.tx_interval <= 0 or
+  /// config.miss_multiplier < 1.
   BfdManager(net::Network& network, const BfdConfig& config = {});
 
   /// Creates sessions on both ends of every switch-to-switch link and

@@ -140,6 +140,26 @@ TEST(Bfd, HostLinksCarryNoSession) {
   EXPECT_EQ(bfd.session_count(), 0u);
 }
 
+TEST(Bfd, RejectsZeroIntervalAndMultiplier) {
+  sim::Simulator sim(1);
+  net::Network net(sim);
+  BfdConfig config;
+  config.tx_interval = 0;
+  EXPECT_THROW(BfdManager(net, config), std::invalid_argument);
+  config.tx_interval = -sim::millis(1);
+  EXPECT_THROW(BfdManager(net, config), std::invalid_argument);
+  config = BfdConfig{};
+  config.miss_multiplier = 0;
+  EXPECT_THROW(BfdManager(net, config), std::invalid_argument);
+  // Through the public Testbed surface too: probe detection with a zero
+  // hello interval used to divide by zero while attaching sessions.
+  core::TestbedConfig bed_config;
+  bed_config.detection.mode = DetectionMode::kProbe;
+  bed_config.bfd.tx_interval = 0;
+  EXPECT_THROW(Testbed(core::topology_builder("f2", 4), bed_config),
+               std::invalid_argument);
+}
+
 // ------------------------------------------------------- unit: dampening
 
 TEST(BfdDampening, FlapTrainSuppressesThenReuses) {

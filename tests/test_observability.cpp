@@ -261,14 +261,6 @@ TEST(ForwardTaps, MultipleTapsCoexist) {
   EXPECT_TRUE(a.forward(p));
   EXPECT_EQ(first, 1);
   EXPECT_EQ(second, 1);
-
-  // The legacy single-tap setter replaces every tap (compatibility shim).
-  a.set_forward_tap(
-      [&first](const net::Packet&, net::PortId, net::PortId) { ++first; });
-  EXPECT_EQ(a.forward_tap_count(), 1u);
-  EXPECT_TRUE(a.forward(p));
-  EXPECT_EQ(first, 2);
-  EXPECT_EQ(second, 1);
 }
 
 TEST(ForwardTaps, TracerAndJournalCoexist) {

@@ -1,26 +1,17 @@
 /// f2tsim — command-line front end to the F²Tree reproduction library.
 ///
-/// Commands:
-///   f2tsim recover  --topo f2 --ports 8 --condition C1 --control ospf
-///                   [--proto udp|tcp] [--detection-ms 60] [--spf-ms 200]
-///                   [--ring-width 2] [--aspen-f 1] [--csv]
-///                   [--log-level LEVEL] [--metrics-out FILE]
-///                   [--events-out FILE] [--timeline]
-///   f2tsim workload --topo f2 --ports 8 --seconds 60 --cf 1 [--seed 1]
-///                   [--log-level LEVEL]
-///   f2tsim campaign --spec FILE [--jobs N] [--out FILE] [--no-profile]
-///                   (or ad hoc: --topo f2 --ports 8 --conditions all
-///                    --link-sites all --seeds 4)
-///   f2tsim topo     --topo f2 --ports 8 [--dot]
-///   f2tsim table1   --ports 8 [--aspen-f 1]
+/// Commands: recover, workload, campaign, topo and table1; run f2tsim
+/// without arguments for their flags. The run-knob flags shared by
+/// recover and ad hoc campaigns come from the knob table
+/// (core::run_knobs()), the same rows that define campaign spec keys.
 ///
 /// Every command maps onto the same library calls the benches and tests
 /// use, so a CLI run is exactly reproducible in code.
 
-#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <sstream>
 
@@ -38,43 +29,26 @@ namespace {
 
 int usage() {
   std::cerr <<
-      "usage: f2tsim <recover|workload|topo|table1> [options]\n"
-      "  recover  --topo NAME --ports N --condition C1..C7\n"
+      "usage: f2tsim <recover|workload|campaign|topo|table1> [options]\n"
+      "  recover  --topo NAME --ports N --condition C1..C8\n"
       "           [--control ospf|central|bgp] [--proto udp|tcp]\n"
-      "           [--detection-ms 60] [--spf-ms 200] [--ring-width 2]\n"
-      "           [--aspen-f 1] [--seed 1] [--csv]\n"
-      "           [--detection oracle|probe] [--bfd-tx-ms 20]\n"
-      "           [--bfd-multiplier 3] [--no-dampening]\n"
-      "           [--fault cut|unidir|gray|flap] [--gray-loss 1.0]\n"
-      "           [--flap-period-ms 300] [--flap-cycles 5]\n"
-      "           [--fidelity packet|flow]\n"
-      "           [--workload poisson|incast] [--size-dist websearch|datamining]\n"
-      "           [--wl-load 0.1] [--wl-fanin 8] [--wl-flow-bytes 20000]\n"
-      "           [--wl-deadline-ms 250]\n"
+      "           [--ring-width 2] [--aspen-f 1] [--seed 1] [--csv]\n"
       "           [--log-level trace|debug|info|warn|error|off]\n"
       "           [--metrics-out FILE] [--events-out FILE] [--timeline]\n"
       "           [--trace-out FILE] [--samples-out FILE]\n"
-      "           [--sample-interval-ms 10]\n"
+      "           [run knob flags not marked (campaign)]\n"
       "  workload --topo NAME --ports N [--seconds 60] [--cf 1] [--seed 1]\n"
       "           [--log-level trace|debug|info|warn|error|off]\n"
       "  campaign --spec FILE [--jobs N] [--out FILE] [--no-profile]\n"
       "           [--workers N] [--resume] [--state-dir DIR]\n"
       "           or ad hoc: [--name S] [--topo NAME] [--ports N]\n"
-      "           [--control ospf|central|bgp] [--conditions C1,..|all]\n"
-      "           [--link-sites N|all] [--random-sites N] [--seeds N]\n"
-      "           [--base-seed N]\n"
-      "           [--detection-ms 60] [--spf-ms 200] [--ring-width 2]\n"
-      "           [--aspen-f 1] [--detection oracle|probe] [--bfd-tx-ms 20]\n"
-      "           [--bfd-multiplier 3] [--no-dampening]\n"
-      "           [--fault cut|unidir|gray|flap] [--gray-loss 1.0]\n"
-      "           [--flap-period-ms 300] [--flap-cycles 5]\n"
-      "           [--fidelity packet|flow]\n"
-      "           [--trace] [--sample-interval-ms 10]\n"
-      "           [--workload poisson|incast] [--size-dist websearch|datamining]\n"
-      "           [--wl-load 0.1] [--wl-fanin 8] [--wl-flow-bytes 20000]\n"
-      "           [--wl-deadline-ms 250]\n"
+      "           [--ring-width 2] [--aspen-f 1] [--control ospf|central|bgp]\n"
+      "           [--conditions C1,..|all] [run knob flags]\n"
       "  topo     --topo NAME --ports N [--ring-width 2] [--aspen-f 1] [--dot]\n"
       "  table1   --ports N [--aspen-f 1]\n"
+      "run knob flags [spec key = default]:\n";
+  core::write_knob_help(std::cerr);
+  std::cerr <<
       "topologies: fat f2 f2scaled leafspine leafspine-f2 vl2 vl2-f2 aspen\n"
       "--metrics-out/--events-out/--timeline enable observability: a\n"
       "schema-versioned metrics JSON, a JSONL event journal, and a\n"
@@ -82,7 +56,7 @@ int usage() {
       "--trace-out writes a Chrome trace_event JSON of the causal recovery\n"
       "span chain (open in chrome://tracing or ui.perfetto.dev);\n"
       "--samples-out writes a JSONL telemetry time series sampled every\n"
-      "--sample-interval-ms of sim time (queue depths, link utilization,\n"
+      "sample interval of sim time (queue depths, link utilization,\n"
       "drop rates) with p50/p99/max rollups on the last line.\n"
       "campaign shards the spec's failure matrix across --jobs worker\n"
       "threads; the JSON artifact (minus --no-profile) is byte-identical\n"
@@ -90,36 +64,20 @@ int usage() {
       "worker *processes* instead, streaming one JSONL record per shard\n"
       "into --state-dir (default <out>.state); the artifact stays\n"
       "byte-identical, and a killed campaign continues from its\n"
-      "checkpointed shards with --resume. --random-sites N adds N\n"
-      "randomly drawn single-link failures per topology/control (the\n"
-      "survivability sweep; aggregated reliability/availability curves\n"
-      "land in the artifact's \"survivability\" section). --workload adds\n"
-      "a trace-shaped TCP background workload (Poisson arrivals from an\n"
-      "empirical flow-size CDF, or periodic incast fan-in rounds) to each\n"
-      "run and reports tail-latency SLOs: FCT p50/p99/p999 and the\n"
-      "deadline-miss fraction inside vs outside the failure window\n"
-      "(packet fidelity only).\n";
+      "checkpointed shards with --resume. Random sites feed the\n"
+      "artifact's survivability curves; a workload adds tail-latency SLOs\n"
+      "(FCT percentiles, deadline misses in and outside the failure\n"
+      "window) at packet fidelity. See tools/README.md.\n";
   return 2;
 }
 
-failure::Condition parse_condition(const std::string& text) {
-  using failure::Condition;
-  static const std::map<std::string, Condition> table{
-      {"C1", Condition::kC1}, {"C2", Condition::kC2}, {"C3", Condition::kC3},
-      {"C4", Condition::kC4}, {"C5", Condition::kC5}, {"C6", Condition::kC6},
-      {"C7", Condition::kC7}};
-  const auto it = table.find(text);
-  if (it == table.end()) {
-    throw std::invalid_argument("unknown condition: " + text);
+/// Reports the first option the command did not read; true if any.
+bool has_unknown_option(const core::Cli& cli) {
+  const auto unknown = cli.unknown_keys();
+  if (!unknown.empty()) {
+    std::cerr << "unknown option: --" << unknown.front() << "\n";
   }
-  return it->second;
-}
-
-core::ControlPlane parse_control(const std::string& text) {
-  if (text == "ospf") return core::ControlPlane::kOspf;
-  if (text == "central") return core::ControlPlane::kCentral;
-  if (text == "bgp") return core::ControlPlane::kPathVector;
-  throw std::invalid_argument("unknown control plane: " + text);
+  return !unknown.empty();
 }
 
 sim::LogLevel parse_log_level_option(core::Cli& cli) {
@@ -127,82 +85,6 @@ sim::LogLevel parse_log_level_option(core::Cli& cli) {
   const auto level = sim::Logger::parse_level(text);
   if (!level) throw std::invalid_argument("unknown log level: " + text);
   return *level;
-}
-
-/// Applies the shared --detection / --bfd-* / --fault family of flags
-/// (recover and ad hoc campaign accept the same set).
-void apply_detection_flags(core::Cli& cli, core::RunKnobs& knobs) {
-  const std::string detection = cli.get("detection", "oracle");
-  if (detection == "probe") {
-    knobs.config.detection.mode = routing::DetectionMode::kProbe;
-  } else if (detection != "oracle") {
-    throw std::invalid_argument("unknown detection: " + detection +
-                                " (oracle|probe)");
-  }
-  knobs.config.bfd.tx_interval = sim::millis(cli.get_int("bfd-tx-ms", 20));
-  knobs.config.bfd.miss_multiplier = cli.get_int("bfd-multiplier", 3);
-  knobs.config.bfd.dampening.enabled = !cli.get_flag("no-dampening");
-
-  const std::string fault = cli.get("fault", "cut");
-  const auto kind = failure::parse_fault_kind(fault);
-  if (!kind) {
-    throw std::invalid_argument("unknown fault: " + fault +
-                                " (cut|unidir|gray|flap)");
-  }
-  knobs.fault.kind = *kind;
-  knobs.fault.gray_loss = cli.get_double("gray-loss", 1.0);
-  knobs.fault.flap_period = sim::millis(cli.get_int("flap-period-ms", 300));
-  knobs.fault.flap_cycles = cli.get_int("flap-cycles", 5);
-
-  const std::string fidelity = cli.get("fidelity", "packet");
-  if (!core::parse_fidelity(fidelity, knobs.fidelity)) {
-    throw std::invalid_argument("unknown fidelity: " + fidelity +
-                                " (packet|flow)");
-  }
-}
-
-/// Parses the shared --workload flag family (recover and ad hoc campaign
-/// accept the same set) into the spec axis. Returns false — leaving the
-/// axis disabled — when --workload was not given.
-bool parse_workload_flags(core::Cli& cli,
-                          core::CampaignSpec::WorkloadAxis& wl) {
-  const std::string kind = cli.get("workload", "");
-  // The satellite flags are consumed up front (marking them known to the
-  // Cli) so they are inert without --workload instead of tripping the
-  // unknown-option check.
-  const std::string size_dist = cli.get("size-dist", wl.size_dist);
-  const double load = cli.get_double("wl-load", wl.load);
-  const int fanin = cli.get_int("wl-fanin", wl.fanin);
-  const int flow_bytes =
-      cli.get_int("wl-flow-bytes", static_cast<int>(wl.flow_bytes));
-  const int deadline_ms = cli.get_int("wl-deadline-ms", wl.deadline_ms);
-  if (kind.empty()) return false;
-  if (kind != "poisson" && kind != "incast") {
-    throw std::invalid_argument("unknown workload: " + kind +
-                                " (poisson|incast)");
-  }
-  wl.enabled = true;
-  wl.kind = kind;
-  wl.size_dist = size_dist;
-  if (wl.size_dist != "websearch" && wl.size_dist != "datamining") {
-    throw std::invalid_argument("unknown size-dist: " + wl.size_dist +
-                                " (websearch|datamining)");
-  }
-  wl.load = load;
-  if (!(wl.load > 0) || wl.load > 1) {
-    throw std::invalid_argument("--wl-load must be in (0, 1]");
-  }
-  wl.fanin = fanin;
-  if (wl.fanin < 1) throw std::invalid_argument("--wl-fanin must be >= 1");
-  if (flow_bytes < 1) {
-    throw std::invalid_argument("--wl-flow-bytes must be >= 1");
-  }
-  wl.flow_bytes = static_cast<std::uint64_t>(flow_bytes);
-  wl.deadline_ms = deadline_ms;
-  if (wl.deadline_ms < 0) {
-    throw std::invalid_argument("--wl-deadline-ms must be >= 0");
-  }
-  return true;
 }
 
 /// Export destinations for one observed run's artefacts.
@@ -214,45 +96,44 @@ struct ExportPaths {
   bool timeline = false;
 };
 
+/// Writes `path` through `write` unless the path is empty; false when
+/// the file cannot be opened.
+bool write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& write) {
+  if (path.empty()) return true;
+  std::ofstream out(path);
+  if (!out) {
+    std::cerr << "cannot write " << path << "\n";
+    return false;
+  }
+  write(out);
+  return true;
+}
+
 /// Writes the observability artefacts of one observed run: metrics JSON,
 /// event-journal JSONL, Chrome trace JSON, sampler JSONL, and (on
 /// request) the reconstructed recovery timeline plus the engine profile
 /// on stdout. Samples export does not require the event journal — the
 /// sampler is its own subsystem and may run with metrics observe off.
 int export_observation(const obs::RunObservation& o, const ExportPaths& p) {
-  if (!p.samples_out.empty()) {
-    std::ofstream out(p.samples_out);
-    if (!out) {
-      std::cerr << "cannot write " << p.samples_out << "\n";
-      return 1;
-    }
-    o.samples.write_jsonl(out);
+  if (!write_file(p.samples_out,
+                  [&](std::ostream& out) { o.samples.write_jsonl(out); })) {
+    return 1;
   }
   if (!o.enabled) return 0;
-  if (!p.metrics_out.empty()) {
-    std::ofstream out(p.metrics_out);
-    if (!out) {
-      std::cerr << "cannot write " << p.metrics_out << "\n";
-      return 1;
-    }
-    o.metrics.write_json(out);
-    out << "\n";
-  }
-  if (!p.events_out.empty()) {
-    std::ofstream out(p.events_out);
-    if (!out) {
-      std::cerr << "cannot write " << p.events_out << "\n";
-      return 1;
-    }
-    obs::write_events_jsonl(out, o.events);
-  }
-  if (!p.trace_out.empty()) {
-    std::ofstream out(p.trace_out);
-    if (!out) {
-      std::cerr << "cannot write " << p.trace_out << "\n";
-      return 1;
-    }
-    obs::SpanTrace(o.events, o.profile).write_chrome_trace(out);
+  if (!write_file(p.metrics_out,
+                  [&](std::ostream& out) {
+                    o.metrics.write_json(out);
+                    out << "\n";
+                  }) ||
+      !write_file(p.events_out,
+                  [&](std::ostream& out) {
+                    obs::write_events_jsonl(out, o.events);
+                  }) ||
+      !write_file(p.trace_out, [&](std::ostream& out) {
+        obs::SpanTrace(o.events, o.profile).write_chrome_trace(out);
+      })) {
+    return 1;
   }
   if (p.timeline) {
     obs::RecoveryTimeline(o.events).print(std::cout);
@@ -265,10 +146,12 @@ int export_observation(const obs::RunObservation& o, const ExportPaths& p) {
 }
 
 int cmd_recover(core::Cli& cli) {
-  const auto builder = core::topology_builder(
-      cli.get("topo", "f2"), cli.get_int("ports", 8),
-      cli.get_int("ring-width", 2), cli.get_int("aspen-f", 1));
-  const auto condition = parse_condition(cli.get("condition", "C1"));
+  const auto spec =
+      core::CampaignSpec::from_flags(cli, core::FlagSet::kRecover);
+  const core::CampaignSpec::TopologyAxis& topo = spec.topologies.front();
+  const auto builder = core::topology_builder(topo.name, topo.ports,
+                                              topo.ring_width, topo.aspen_f);
+  const failure::Condition condition = spec.conditions.front();
   const std::string proto = cli.get("proto", "udp");
   const bool csv = cli.get_flag("csv");
   ExportPaths paths;
@@ -277,39 +160,20 @@ int cmd_recover(core::Cli& cli) {
   paths.trace_out = cli.get("trace-out", "");
   paths.samples_out = cli.get("samples-out", "");
   paths.timeline = cli.get_flag("timeline");
-  const int sample_interval_ms = cli.get_int("sample-interval-ms", 10);
-  if (sample_interval_ms <= 0) {
-    throw std::invalid_argument("--sample-interval-ms must be > 0");
-  }
 
-  core::RunKnobs knobs;
-  knobs.config.control_plane = parse_control(cli.get("control", "ospf"));
-  knobs.config.detection.down_delay =
-      sim::millis(cli.get_int("detection-ms", 60));
-  knobs.config.detection.up_delay = knobs.config.detection.down_delay;
-  knobs.config.ospf.throttle.initial_delay =
-      sim::millis(cli.get_int("spf-ms", 200));
-  knobs.config.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  apply_detection_flags(cli, knobs);
-  core::CampaignSpec::WorkloadAxis workload_axis;
-  if (parse_workload_flags(cli, workload_axis)) {
-    if (proto != "udp") {
-      throw std::invalid_argument(
-          "--workload rides the UDP probe run (use --proto udp)");
-    }
-    knobs.workload_enabled = true;
-    knobs.workload = exec::workload_options_of(workload_axis, knobs.horizon);
+  core::RunKnobs knobs = exec::knobs_of(
+      spec, spec.controls.front(),
+      static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+  if (knobs.workload_enabled && proto != "udp") {
+    throw std::invalid_argument(
+        "--workload rides the UDP probe run (use --proto udp)");
   }
   knobs.config.log_level = parse_log_level_option(cli);
   knobs.config.observe = paths.timeline || !paths.metrics_out.empty() ||
                          !paths.events_out.empty() || !paths.trace_out.empty();
-  if (!paths.samples_out.empty()) {
-    knobs.config.sample_interval = sim::millis(sample_interval_ms);
-  }
-  if (const auto unknown = cli.unknown_keys(); !unknown.empty()) {
-    std::cerr << "unknown option: --" << unknown.front() << "\n";
-    return usage();
-  }
+  knobs.config.sample_interval =
+      paths.samples_out.empty() ? 0 : sim::millis(spec.sample_interval_ms);
+  if (has_unknown_option(cli)) return usage();
 
   stats::Table table({"metric", "value"});
   if (proto == "udp") {
@@ -369,10 +233,7 @@ int cmd_workload(core::Cli& cli) {
   const int cf = cli.get_int("cf", 1);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const sim::LogLevel log_level = parse_log_level_option(cli);
-  if (const auto unknown = cli.unknown_keys(); !unknown.empty()) {
-    std::cerr << "unknown option: --" << unknown.front() << "\n";
-    return usage();
-  }
+  if (has_unknown_option(cli)) return usage();
 
   core::TestbedConfig config;
   config.seed = seed;
@@ -410,82 +271,6 @@ int cmd_workload(core::Cli& cli) {
                  app.deadline_miss_ratio(pa.stop + sim::seconds(20)), 3)});
   table.print(std::cout);
   return 0;
-}
-
-/// Builds a CampaignSpec from ad hoc CLI flags (the no-spec-file path).
-core::CampaignSpec campaign_spec_from_flags(core::Cli& cli) {
-  core::CampaignSpec spec;
-  spec.name = cli.get("name", "cli");
-  core::CampaignSpec::TopologyAxis axis;
-  axis.name = cli.get("topo", "f2");
-  axis.ports = cli.get_int("ports", 8);
-  axis.ring_width = cli.get_int("ring-width", 2);
-  axis.aspen_f = cli.get_int("aspen-f", 1);
-  spec.topologies = {axis};
-  spec.controls = {cli.get("control", "ospf")};
-  const std::string conditions = cli.get("conditions", "");
-  if (conditions == "all") {
-    using failure::Condition;
-    spec.conditions = {Condition::kC1, Condition::kC2, Condition::kC3,
-                       Condition::kC4, Condition::kC5, Condition::kC6,
-                       Condition::kC7};
-  } else if (!conditions.empty()) {
-    std::istringstream in(conditions);
-    std::string token;
-    while (std::getline(in, token, ',')) {
-      spec.conditions.push_back(parse_condition(token));
-    }
-  }
-  const std::string sites = cli.get("link-sites", "0");
-  spec.link_sites = sites == "all" ? -1 : std::stoi(sites);
-  spec.random_sites = cli.get_int("random-sites", 0);
-  if (spec.random_sites < 0) {
-    throw std::invalid_argument("--random-sites must be >= 0");
-  }
-  spec.seeds = cli.get_int("seeds", 1);
-  spec.base_seed = static_cast<std::uint64_t>(cli.get_int("base-seed", 1));
-  spec.detection_ms = cli.get_int("detection-ms", 60);
-  spec.spf_ms = cli.get_int("spf-ms", 200);
-  spec.detection = cli.get("detection", "oracle");
-  if (spec.detection != "oracle" && spec.detection != "probe") {
-    throw std::invalid_argument("unknown detection: " + spec.detection +
-                                " (oracle|probe)");
-  }
-  spec.bfd_tx_ms = cli.get_int("bfd-tx-ms", 20);
-  spec.bfd_multiplier = cli.get_int("bfd-multiplier", 3);
-  spec.dampening = !cli.get_flag("no-dampening");
-  const std::string fault = cli.get("fault", "cut");
-  const auto kind = failure::parse_fault_kind(fault);
-  if (!kind) {
-    throw std::invalid_argument("unknown fault: " + fault +
-                                " (cut|unidir|gray|flap)");
-  }
-  spec.fault = *kind;
-  spec.gray_loss = cli.get_double("gray-loss", 1.0);
-  spec.flap_period_ms = cli.get_int("flap-period-ms", 300);
-  spec.flap_cycles = cli.get_int("flap-cycles", 5);
-  spec.fidelity = cli.get("fidelity", "packet");
-  if (spec.fidelity != "packet" && spec.fidelity != "flow") {
-    throw std::invalid_argument("unknown fidelity: " + spec.fidelity +
-                                " (packet|flow)");
-  }
-  spec.trace = cli.get_flag("trace");
-  spec.sample_interval_ms = cli.get_int("sample-interval-ms", 0);
-  if (spec.sample_interval_ms < 0) {
-    throw std::invalid_argument("--sample-interval-ms must be >= 0");
-  }
-  if (parse_workload_flags(cli, spec.workload) && spec.fidelity == "flow") {
-    throw std::invalid_argument("--workload requires --fidelity packet");
-  }
-  if (spec.conditions.empty() && spec.link_sites == 0 &&
-      spec.random_sites == 0) {
-    // Bare "f2tsim campaign" sweeps the paper's Table IV conditions.
-    using failure::Condition;
-    spec.conditions = {Condition::kC1, Condition::kC2, Condition::kC3,
-                       Condition::kC4, Condition::kC5, Condition::kC6,
-                       Condition::kC7};
-  }
-  return spec;
 }
 
 std::string slurp_or_die(const std::string& path) {
@@ -531,12 +316,9 @@ int cmd_campaign(core::Cli& cli) {
   } else if (!spec_path.empty()) {
     spec = core::CampaignSpec::parse(slurp_or_die(spec_path));
   } else {
-    spec = campaign_spec_from_flags(cli);
+    spec = core::CampaignSpec::from_flags(cli);
   }
-  if (const auto unknown = cli.unknown_keys(); !unknown.empty()) {
-    std::cerr << "unknown option: --" << unknown.front() << "\n";
-    return usage();
-  }
+  if (has_unknown_option(cli)) return usage();
 
   const int total = static_cast<int>(core::enumerate_shards(spec).size());
   core::CampaignResult result;
@@ -614,40 +396,15 @@ int cmd_campaign(core::Cli& cli) {
     surv.print(std::cout);
   }
   if (spec.workload.enabled) {
-    // Pooled SLO summary over the shards that carried the workload —
-    // the same arithmetic as the artifact's "slo" section.
-    int slo_runs = 0;
-    std::size_t flows = 0;
-    std::size_t completed = 0;
-    std::size_t dl_in = 0;
-    std::size_t dl_out = 0;
-    double missed_in = 0;
-    double missed_out = 0;
-    double p99_sum = 0;
-    double p999_max = 0;
-    for (const auto& r : result.runs) {
-      if (!r.slo) continue;
-      ++slo_runs;
-      flows += r.slo_flows;
-      completed += r.slo_completed;
-      dl_in += r.slo_deadline_in;
-      dl_out += r.slo_deadline_out;
-      missed_in += r.slo_miss_in * static_cast<double>(r.slo_deadline_in);
-      missed_out += r.slo_miss_out * static_cast<double>(r.slo_deadline_out);
-      p99_sum += r.fct_p99_ms;
-      p999_max = std::max(p999_max, r.fct_p999_ms);
-    }
+    const core::SloAggregate a = core::aggregate_slo(result.runs);
     stats::Table slo({"slo runs", "flows", "completed", "fct p99 ms mean",
                       "fct p999 ms max", "miss in-window", "miss outside"});
-    slo.row({std::to_string(slo_runs), std::to_string(flows),
-             std::to_string(completed),
-             stats::Table::num(slo_runs > 0 ? p99_sum / slo_runs : 0, 3),
-             stats::Table::num(p999_max, 3),
-             stats::Table::percent(
-                 dl_in > 0 ? missed_in / static_cast<double>(dl_in) : 0, 3),
-             stats::Table::percent(
-                 dl_out > 0 ? missed_out / static_cast<double>(dl_out) : 0,
-                 3)});
+    slo.row({std::to_string(a.runs), std::to_string(a.flows),
+             std::to_string(a.completed),
+             stats::Table::num(a.fct_p99_ms_mean, 3),
+             stats::Table::num(a.fct_p999_ms_max, 3),
+             stats::Table::percent(a.miss_in, 3),
+             stats::Table::percent(a.miss_out, 3)});
     slo.print(std::cout);
   }
   std::cout << result.runs.size() << " shards, ";
@@ -669,10 +426,7 @@ int cmd_campaign_worker(core::Cli& cli) {
   const std::string spec_path = cli.get("spec", "");
   const std::string shards = cli.get("shards", "");
   const std::string out_path = cli.get("out", "");
-  if (const auto unknown = cli.unknown_keys(); !unknown.empty()) {
-    std::cerr << "unknown option: --" << unknown.front() << "\n";
-    return 2;
-  }
+  if (has_unknown_option(cli)) return 2;
   if (spec_path.empty() || shards.empty() || out_path.empty()) {
     std::cerr << "campaign-worker needs --spec, --shards and --out\n";
     return 2;
@@ -696,10 +450,7 @@ int cmd_topo(core::Cli& cli) {
       cli.get("topo", "f2"), cli.get_int("ports", 8),
       cli.get_int("ring-width", 2), cli.get_int("aspen-f", 1));
   const bool dot = cli.get_flag("dot");
-  if (const auto unknown = cli.unknown_keys(); !unknown.empty()) {
-    std::cerr << "unknown option: --" << unknown.front() << "\n";
-    return usage();
-  }
+  if (has_unknown_option(cli)) return usage();
   sim::Simulator sim(1);
   net::Network net(sim);
   const auto topo = builder(net);
@@ -716,10 +467,7 @@ int cmd_topo(core::Cli& cli) {
 int cmd_table1(core::Cli& cli) {
   const int ports = cli.get_int("ports", 8);
   const int f = cli.get_int("aspen-f", 1);
-  if (const auto unknown = cli.unknown_keys(); !unknown.empty()) {
-    std::cerr << "unknown option: --" << unknown.front() << "\n";
-    return usage();
-  }
+  if (has_unknown_option(cli)) return usage();
   stats::Table table({"Solution", "Switches", "Nodes", "Modify routing",
                       "Modify data plane"});
   for (const auto& row : core::table1(ports, f)) {
