@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+
 #include "core/scalability.hpp"
 #include "sim/simulator.hpp"
+#include "topo/aspen.hpp"
 #include "topo/backup_routes.hpp"
 #include "topo/f2tree.hpp"
 #include "topo/fattree.hpp"
@@ -198,6 +203,107 @@ TEST_F(TopologyTest, BackupRoutesInstalledOnEveryRingSwitch) {
     // /16 points rightward, /15 leftward (the paper's loop avoidance).
     EXPECT_EQ(r16->next_hops.at(0).port, ring.right.at(0)) << sw->name();
     EXPECT_EQ(r15->next_hops.at(0).port, ring.left.at(0)) << sw->name();
+  }
+}
+
+/// FNV-1a over everything construction order decides: switches (name,
+/// router id) in creation order, links (endpoint names, ports) in link
+/// order, each switch's ring ports, and hosts (name, address). The DOT
+/// export omits ports and hosts, so this is what pins them.
+std::uint64_t wiring_fingerprint(net::Network& network,
+                                 const BuiltTopology& topo) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto byte = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  };
+  const auto word = [&byte](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  const auto text = [&byte](const std::string& s) {
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+    byte(0);
+  };
+  for (const net::L3Switch* sw : network.switches()) {
+    text(sw->name());
+    word(sw->router_id().value());
+  }
+  for (const net::Link* link : network.links()) {
+    text(link->end_a().node->name());
+    word(link->end_a().port);
+    text(link->end_b().node->name());
+    word(link->end_b().port);
+  }
+  for (const net::L3Switch* sw : network.switches()) {
+    const auto it = topo.rings.find(sw);
+    if (it == topo.rings.end()) continue;
+    text(sw->name());
+    word(static_cast<std::uint32_t>(it->second.right.size()));
+    for (const net::PortId port : it->second.right) word(port);
+    word(static_cast<std::uint32_t>(it->second.left.size()));
+    for (const net::PortId port : it->second.left) word(port);
+  }
+  for (const net::Host* host : network.hosts()) {
+    text(host->name());
+    word(host->addr().value());
+  }
+  return h;
+}
+
+TEST_F(TopologyTest, WiringFingerprintPinned) {
+  // Campaign artifacts and the perfbench reference hashes depend on the
+  // exact construction order, so any builder change must keep these.
+  using Build = std::function<BuiltTopology(net::Network&)>;
+  const struct {
+    const char* name;
+    Build build;
+    std::uint64_t expected;
+  } cases[] = {
+      {"fat-4", [](net::Network& n) {
+         return build_fat_tree(n, FatTreeOptions{.ports = 4});
+       }, 0xf0ff395f773075c9ull},
+      {"fat-8", [](net::Network& n) {
+         return build_fat_tree(n, FatTreeOptions{.ports = 8});
+       }, 0xfa9c63e58d3d5557ull},
+      {"f2-4", [](net::Network& n) { return build_f2tree(n, 4); },
+       0x5e56b6dd4a6c8fd9ull},
+      {"f2-8", [](net::Network& n) { return build_f2tree(n, 8); },
+       0x057ac28af95fb0edull},
+      {"f2-8-ring4", [](net::Network& n) { return build_f2tree(n, 8, 4); },
+       0x6ff9a18034b32c63ull},
+      {"f2scaled-6", [](net::Network& n) {
+         return build_f2tree_scaled(n, F2TreeScaledOptions{.ports = 6});
+       }, 0xc275b7e3065dc69eull},
+      {"f2scaled-8", [](net::Network& n) {
+         return build_f2tree_scaled(n, F2TreeScaledOptions{.ports = 8});
+       }, 0x148a1dca166d143dull},
+      {"leafspine-8", [](net::Network& n) {
+         return build_leaf_spine(n, LeafSpineOptions{.ports = 8});
+       }, 0x08e82c8806229addull},
+      {"leafspine-f2-8", [](net::Network& n) {
+         return build_leaf_spine(
+             n, LeafSpineOptions{.ports = 8, .f2_rewire = true});
+       }, 0x55ea0d489728d375ull},
+      {"vl2-8", [](net::Network& n) {
+         return build_vl2(n, Vl2Options{.ports = 8});
+       }, 0x3621b323e32c430bull},
+      {"vl2-f2-8", [](net::Network& n) {
+         return build_vl2(n, Vl2Options{.ports = 8, .f2_rewire = true});
+       }, 0x39ff259eec6b0fb7ull},
+      {"aspen-8", [](net::Network& n) {
+         return build_aspen_tree(n, AspenOptions{.ports = 8});
+       }, 0x57f7b0dc743aa81bull},
+      {"aspen-12-f2", [](net::Network& n) {
+         return build_aspen_tree(
+             n, AspenOptions{.ports = 12, .fault_tolerance = 2});
+       }, 0x51fc5a6d7fcae9cfull},
+  };
+  for (const auto& c : cases) {
+    sim::Simulator sim(1);
+    net::Network network(sim);
+    const BuiltTopology topo = c.build(network);
+    EXPECT_EQ(wiring_fingerprint(network, topo), c.expected)
+        << c.name << ": 0x" << std::hex << wiring_fingerprint(network, topo);
   }
 }
 
