@@ -486,7 +486,9 @@ else
 fi
 for bad in "campaign --seeds 0" "campaign --link-sites -3" \
     "campaign --gray-loss 2" "campaign --control foo" \
-    "recover --detection probe --bfd-tx-ms 0"; do
+    "recover --detection probe --bfd-tx-ms 0" \
+    "campaign --conditions C1,C2 --fidelity flow --fault gray" \
+    "campaign --conditions C1,C2 --fidelity flow --detection probe"; do
   # Word splitting of $bad is intended: it is a command plus its flags.
   # shellcheck disable=SC2086
   "$BUILD"/tools/f2tsim $bad --topo f2 --ports 4 \

@@ -429,6 +429,16 @@ void CampaignSpec::validate() const {
         "campaign: workload requires packet fidelity (the fluid probe "
         "has no host stacks to carry TCP flows)");
   }
+  if (fault == failure::FaultKind::kGray && fidelity == "flow") {
+    throw std::invalid_argument(
+        "campaign: fault gray requires packet fidelity (per-packet loss "
+        "draws need packets)");
+  }
+  if (detection == "probe" && fidelity == "flow") {
+    throw std::invalid_argument(
+        "campaign: detection probe requires packet fidelity (BFD hello "
+        "timing interleaves with probe serialization)");
+  }
   if (conditions.empty() && link_sites == 0 && random_sites == 0) {
     throw std::invalid_argument(
         "campaign: no failure sites (need conditions, link_sites and/or "

@@ -209,12 +209,15 @@ double Value::as_double() const {
 
 std::int64_t Value::as_int() const {
   const double d = as_double();
-  const auto i = static_cast<std::int64_t>(d);
-  if (static_cast<double>(i) != d) {
+  // Range-check before the cast: converting a double outside
+  // [-2^63, 2^63) to int64 is undefined.
+  if (!(d >= -0x1p63 && d < 0x1p63) || std::trunc(d) != d) {
+    char buf[32];
+    const auto end = std::to_chars(buf, buf + sizeof buf, d).ptr;
     throw std::invalid_argument("json: expected an integer, got " +
-                                std::to_string(d));
+                                std::string(buf, end));
   }
-  return i;
+  return static_cast<std::int64_t>(d);
 }
 
 const std::string& Value::as_string() const {

@@ -298,16 +298,16 @@ UdpRun run_udp_plan(Testbed& bed, const failure::ScenarioPlan& plan,
              : run_udp_plan_packet(bed, plan, knobs);
 }
 
-}  // namespace
-
-UdpRun run_udp_condition(const Testbed::TopoBuilder& builder,
-                         failure::Condition condition,
-                         const RunKnobs& knobs) {
+/// The probe-run setup both public entry points share: build and converge
+/// the testbed, derive the failure plan from its topology with
+/// `make_plan`, then run it (an empty run when the site does not apply).
+template <class MakePlan>
+UdpRun run_udp(const Testbed::TopoBuilder& builder, const RunKnobs& knobs,
+               const MakePlan& make_plan) {
   const auto setup_start = std::chrono::steady_clock::now();
   Testbed bed(builder, knobs.config);
   bed.converge();
-  const auto plan = failure::build_condition(bed.topo(), condition,
-                                             net::Protocol::kUdp);
+  const auto plan = make_plan(bed.topo());
   const std::chrono::duration<double> setup =
       std::chrono::steady_clock::now() - setup_start;
   if (!plan) return {};
@@ -316,19 +316,21 @@ UdpRun run_udp_condition(const Testbed::TopoBuilder& builder,
   return out;
 }
 
+}  // namespace
+
+UdpRun run_udp_condition(const Testbed::TopoBuilder& builder,
+                         failure::Condition condition,
+                         const RunKnobs& knobs) {
+  return run_udp(builder, knobs, [condition](const topo::BuiltTopology& t) {
+    return failure::build_condition(t, condition, net::Protocol::kUdp);
+  });
+}
+
 UdpRun run_udp_link_site(const Testbed::TopoBuilder& builder, int site,
                          const RunKnobs& knobs) {
-  const auto setup_start = std::chrono::steady_clock::now();
-  Testbed bed(builder, knobs.config);
-  bed.converge();
-  const auto plan =
-      failure::build_link_site_plan(bed.topo(), site, net::Protocol::kUdp);
-  const std::chrono::duration<double> setup =
-      std::chrono::steady_clock::now() - setup_start;
-  if (!plan) return {};
-  auto out = run_udp_plan(bed, *plan, knobs);
-  out.observation.profile.setup_wall_seconds = setup.count();
-  return out;
+  return run_udp(builder, knobs, [site](const topo::BuiltTopology& t) {
+    return failure::build_link_site_plan(t, site, net::Protocol::kUdp);
+  });
 }
 
 TcpRun run_tcp_condition(const Testbed::TopoBuilder& builder,

@@ -1,9 +1,6 @@
 #include "topo/aspen.hpp"
 
 #include <stdexcept>
-#include <string>
-
-#include "topo/addressing.hpp"
 
 namespace f2t::topo {
 
@@ -15,7 +12,8 @@ BuiltTopology build_aspen_tree(net::Network& network,
     throw std::invalid_argument("aspen: ports must be even and >= 4");
   }
   if (f < 1) throw std::invalid_argument("aspen: fault tolerance must be >= 1");
-  if (n % (2 * (f + 1)) != 0) {
+  // f > N/2 could never divide N; testing it first keeps 2*(f+1) in range.
+  if (f > n / 2 || n % (2 * (f + 1)) != 0) {
     throw std::invalid_argument(
         "aspen: ports must be divisible by 2*(f+1)");
   }
@@ -24,58 +22,16 @@ BuiltTopology build_aspen_tree(net::Network& network,
   const int cores_per_group = half / (f + 1);
   const int hosts_per_tor =
       options.hosts_per_tor >= 0 ? options.hosts_per_tor : half;
-  if (pods * half > AddressPlan::kMaxTors ||
-      pods * half > AddressPlan::kMaxAggs ||
-      half * cores_per_group > AddressPlan::kMaxCores ||
-      hosts_per_tor > AddressPlan::kMaxHostsPerTor) {
-    throw std::invalid_argument("aspen: exceeds address plan capacity");
-  }
+  check_address_plan("aspen", std::int64_t{pods} * half,
+                     std::int64_t{pods} * half,
+                     std::int64_t{half} * cores_per_group, hosts_per_tor,
+                     false);
 
-  BuiltTopology topo;
-  topo.network = &network;
-  topo.kind = TopologyKind::kFatTree;  // an (engineered) fat-tree family
-  topo.ports = n;
-  topo.f2 = false;
-
-  for (int c = 0; c < half * cores_per_group; ++c) {
-    topo.cores.push_back(&network.add_switch("core" + std::to_string(c),
-                                             AddressPlan::core_router_id(c)));
-  }
-  topo.core_groups.resize(static_cast<std::size_t>(half));
-  for (int j = 0; j < half; ++j) {
-    for (int i = 0; i < cores_per_group; ++i) {
-      topo.core_groups[static_cast<std::size_t>(j)].push_back(
-          topo.cores[static_cast<std::size_t>(j * cores_per_group + i)]);
-    }
-  }
-
-  for (int p = 0; p < pods; ++p) {
-    BuiltTopology::Pod pod;
-    for (int a = 0; a < half; ++a) {
-      const int agg_index = p * half + a;
-      pod.aggs.push_back(
-          &network.add_switch("agg" + std::to_string(agg_index),
-                              AddressPlan::agg_router_id(agg_index)));
-    }
-    for (int t = 0; t < half; ++t) {
-      const int tor_index = p * half + t;
-      pod.tors.push_back(
-          &network.add_switch("tor" + std::to_string(tor_index),
-                              AddressPlan::tor_router_id(tor_index)));
-    }
-    topo.aggs.insert(topo.aggs.end(), pod.aggs.begin(), pod.aggs.end());
-    topo.tors.insert(topo.tors.end(), pod.tors.begin(), pod.tors.end());
-    topo.pods.push_back(std::move(pod));
-  }
-
-  // Standard fat-tree pod wiring: full agg x tor bipartite graph.
-  for (const auto& pod : topo.pods) {
-    for (net::L3Switch* agg : pod.aggs) {
-      for (net::L3Switch* tor : pod.tors) {
-        network.connect_default(*agg, *tor);
-      }
-    }
-  }
+  // An (engineered) fat-tree family with standard fat-tree pods.
+  BuiltTopology topo = start_topology(network, TopologyKind::kFatTree, n, 0);
+  add_core_groups(topo, half, cores_per_group);
+  add_pods(topo, pods, half, half);
+  wire_pods(topo);
 
   // The fault-tolerant layer: agg j connects each core of group j with
   // f+1 parallel links.
@@ -88,18 +44,7 @@ BuiltTopology build_aspen_tree(net::Network& network,
       }
     }
   }
-
-  for (std::size_t t = 0; t < topo.tors.size(); ++t) {
-    net::L3Switch* tor = topo.tors[t];
-    topo.subnet_of_tor[tor] = AddressPlan::tor_subnet(static_cast<int>(t));
-    for (int h = 0; h < hosts_per_tor; ++h) {
-      net::Host& host = network.add_host(
-          "h" + std::to_string(t) + "_" + std::to_string(h),
-          AddressPlan::host_addr(static_cast<int>(t), h), tor);
-      topo.hosts.push_back(&host);
-      topo.hosts_of_tor[tor].push_back(&host);
-    }
-  }
+  attach_hosts(topo, hosts_per_tor);
   return topo;
 }
 

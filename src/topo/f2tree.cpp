@@ -1,32 +1,8 @@
 #include "topo/f2tree.hpp"
 
 #include <stdexcept>
-#include <string>
-
-#include "topo/addressing.hpp"
 
 namespace f2t::topo {
-
-namespace {
-
-// Shared with fattree.cpp in spirit; duplicated locally because the scaled
-// geometry records ring metadata the same way but over different rosters.
-void build_ring2(net::Network& network, BuiltTopology& topo,
-                 const std::vector<net::L3Switch*>& members) {
-  const int n = static_cast<int>(members.size());
-  if (n < 2) return;
-  for (int i = 0; i < n; ++i) {
-    net::L3Switch& from = *members[static_cast<std::size_t>(i)];
-    net::L3Switch& to = *members[static_cast<std::size_t>((i + 1) % n)];
-    network.connect_default(from, to);
-    topo.rings[&from].right.push_back(
-        static_cast<net::PortId>(from.port_count() - 1));
-    topo.rings[&to].left.push_back(
-        static_cast<net::PortId>(to.port_count() - 1));
-  }
-}
-
-}  // namespace
 
 BuiltTopology build_f2tree_scaled(net::Network& network,
                                   const F2TreeScaledOptions& options) {
@@ -42,60 +18,17 @@ BuiltTopology build_f2tree_scaled(net::Network& network,
   const int cores_per_group = half - 1;
   const int hosts_per_tor =
       options.hosts_per_tor >= 0 ? options.hosts_per_tor : half;
-  // Backup routes must cover every host subnet, so the rewired topology is
-  // bounded by the prefix chain's reach, not the full address plan.
-  if (pods * tors_per_pod > AddressPlan::kMaxBackupCoveredTors ||
-      hosts_per_tor > AddressPlan::kMaxHostsPerTor) {
-    throw std::invalid_argument("f2tree scaled: exceeds address plan capacity");
-  }
+  check_address_plan("f2tree scaled", std::int64_t{pods} * tors_per_pod,
+                     std::int64_t{pods} * half,
+                     std::int64_t{half} * cores_per_group, hosts_per_tor,
+                     true);
 
-  BuiltTopology topo;
-  topo.network = &network;
-  topo.kind = TopologyKind::kF2Tree;
-  topo.ports = n;
-  topo.f2 = true;
-  topo.ring_width = 2;
-
-  for (int c = 0; c < half * cores_per_group; ++c) {
-    topo.cores.push_back(&network.add_switch("core" + std::to_string(c),
-                                             AddressPlan::core_router_id(c)));
-  }
-  topo.core_groups.resize(static_cast<std::size_t>(half));
-  for (int j = 0; j < half; ++j) {
-    for (int i = 0; i < cores_per_group; ++i) {
-      topo.core_groups[static_cast<std::size_t>(j)].push_back(
-          topo.cores[static_cast<std::size_t>(j * cores_per_group + i)]);
-    }
-  }
-
-  for (int p = 0; p < pods; ++p) {
-    BuiltTopology::Pod pod;
-    for (int a = 0; a < half; ++a) {
-      const int agg_index = p * half + a;
-      pod.aggs.push_back(
-          &network.add_switch("agg" + std::to_string(agg_index),
-                              AddressPlan::agg_router_id(agg_index)));
-    }
-    for (int t = 0; t < tors_per_pod; ++t) {
-      const int tor_index = p * tors_per_pod + t;
-      pod.tors.push_back(
-          &network.add_switch("tor" + std::to_string(tor_index),
-                              AddressPlan::tor_router_id(tor_index)));
-    }
-    topo.aggs.insert(topo.aggs.end(), pod.aggs.begin(), pod.aggs.end());
-    topo.tors.insert(topo.tors.end(), pod.tors.begin(), pod.tors.end());
-    topo.pods.push_back(std::move(pod));
-  }
-
-  // Full agg x tor bipartite graph inside each pod: every agg spends
-  // N/2 - 1 downward ports, every ToR spends N/2 upward ports.
-  for (const auto& pod : topo.pods) {
-    for (net::L3Switch* agg : pod.aggs) {
-      for (net::L3Switch* tor : pod.tors) {
-        network.connect_default(*agg, *tor);
-      }
-    }
-  }
+  BuiltTopology topo = start_topology(network, TopologyKind::kF2Tree, n, 2);
+  add_core_groups(topo, half, cores_per_group);
+  add_pods(topo, pods, half, tors_per_pod);
+  // Inside each pod every agg spends N/2 - 1 downward ports, every ToR
+  // spends N/2 upward ports.
+  wire_pods(topo);
 
   // Agg j of every pod connects to all N/2 - 1 cores of group j.
   for (const auto& pod : topo.pods) {
@@ -106,20 +39,9 @@ BuiltTopology build_f2tree_scaled(net::Network& network,
     }
   }
 
-  for (const auto& pod : topo.pods) build_ring2(network, topo, pod.aggs);
-  for (const auto& group : topo.core_groups) build_ring2(network, topo, group);
-
-  for (std::size_t t = 0; t < topo.tors.size(); ++t) {
-    net::L3Switch* tor = topo.tors[t];
-    topo.subnet_of_tor[tor] = AddressPlan::tor_subnet(static_cast<int>(t));
-    for (int h = 0; h < hosts_per_tor; ++h) {
-      net::Host& host = network.add_host(
-          "h" + std::to_string(t) + "_" + std::to_string(h),
-          AddressPlan::host_addr(static_cast<int>(t), h), tor);
-      topo.hosts.push_back(&host);
-      topo.hosts_of_tor[tor].push_back(&host);
-    }
-  }
+  for (const auto& pod : topo.pods) build_ring(topo, pod.aggs, 2);
+  for (const auto& group : topo.core_groups) build_ring(topo, group, 2);
+  attach_hosts(topo, hosts_per_tor);
   return topo;
 }
 

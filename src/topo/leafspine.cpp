@@ -20,65 +20,26 @@ BuiltTopology build_leaf_spine(net::Network& network,
   const int leaves = options.f2_rewire ? n - 2 : n;
   const int hosts_per_leaf =
       options.hosts_per_leaf >= 0 ? options.hosts_per_leaf : n / 2;
-  if (leaves > AddressPlan::kMaxTors || spines > AddressPlan::kMaxCores ||
-      hosts_per_leaf > AddressPlan::kMaxHostsPerTor) {
-    throw std::invalid_argument("leaf-spine: exceeds address plan capacity");
-  }
-  if (options.f2_rewire && leaves > AddressPlan::kMaxBackupCoveredTors) {
-    throw std::invalid_argument(
-        "leaf-spine: F^2 rewiring exceeds the backup-prefix cover (256 ToRs)");
-  }
+  check_address_plan("leaf-spine", leaves, 0, spines, hosts_per_leaf,
+                     options.f2_rewire);
 
-  BuiltTopology topo;
-  topo.network = &network;
-  topo.kind = TopologyKind::kLeafSpine;
-  topo.ports = n;
-  topo.f2 = options.f2_rewire;
-  topo.ring_width = options.f2_rewire ? 2 : 0;
-
-  for (int s = 0; s < spines; ++s) {
-    // Spines sit at the "core" tier of the generic description.
-    topo.cores.push_back(&network.add_switch("spine" + std::to_string(s),
-                                             AddressPlan::core_router_id(s)));
-  }
+  BuiltTopology topo = start_topology(network, TopologyKind::kLeafSpine, n,
+                                      options.f2_rewire ? 2 : 0);
+  // Spines sit at the "core" tier of the generic description, in one core
+  // group: the ring (if any) spans them all.
+  add_core_groups(topo, 1, spines, "spine");
   for (int l = 0; l < leaves; ++l) {
     topo.tors.push_back(&network.add_switch("leaf" + std::to_string(l),
                                             AddressPlan::tor_router_id(l)));
   }
-  // One core group holding all spines: the ring (if any) spans them all.
-  topo.core_groups.push_back(topo.cores);
 
-  for (int s = 0; s < spines; ++s) {
-    for (int l = 0; l < leaves; ++l) {
-      network.connect_default(*topo.cores[static_cast<std::size_t>(s)],
-                              *topo.tors[static_cast<std::size_t>(l)]);
+  for (net::L3Switch* spine : topo.cores) {
+    for (net::L3Switch* leaf : topo.tors) {
+      network.connect_default(*spine, *leaf);
     }
   }
-
-  if (options.f2_rewire && spines >= 2) {
-    for (int s = 0; s < spines; ++s) {
-      net::L3Switch& from = *topo.cores[static_cast<std::size_t>(s)];
-      net::L3Switch& to =
-          *topo.cores[static_cast<std::size_t>((s + 1) % spines)];
-      network.connect_default(from, to);
-      topo.rings[&from].right.push_back(
-          static_cast<net::PortId>(from.port_count() - 1));
-      topo.rings[&to].left.push_back(
-          static_cast<net::PortId>(to.port_count() - 1));
-    }
-  }
-
-  for (std::size_t l = 0; l < topo.tors.size(); ++l) {
-    net::L3Switch* leaf = topo.tors[l];
-    topo.subnet_of_tor[leaf] = AddressPlan::tor_subnet(static_cast<int>(l));
-    for (int h = 0; h < hosts_per_leaf; ++h) {
-      net::Host& host = network.add_host(
-          "h" + std::to_string(l) + "_" + std::to_string(h),
-          AddressPlan::host_addr(static_cast<int>(l), h), leaf);
-      topo.hosts.push_back(&host);
-      topo.hosts_of_tor[leaf].push_back(&host);
-    }
-  }
+  if (options.f2_rewire) build_ring(topo, topo.cores, 2);
+  attach_hosts(topo, hosts_per_leaf);
   return topo;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,5 +63,42 @@ struct BuiltTopology {
 
   std::string summary() const;
 };
+
+// --- Clos building blocks ----------------------------------------------
+// The builders compose these in one order: cores, then pods (each pod's
+// aggs before its ToRs), then links in call order, then hosts. Switch
+// and host ids, link order and port numbers all follow from that order.
+
+/// An empty topology over `network`; F²-rewired iff `ring_width > 0`.
+BuiltTopology start_topology(net::Network& network, TopologyKind kind,
+                             int ports, int ring_width);
+
+/// Throws std::invalid_argument ("<what>: ...") when a role's count or the
+/// hosts per ToR exceed the address plan, or when an F²-rewired topology
+/// has more ToRs than the backup-prefix chain covers. Counts are 64-bit so
+/// that callers can multiply out a port count without overflowing.
+void check_address_plan(const char* what, std::int64_t tors,
+                        std::int64_t aggs, std::int64_t cores,
+                        int hosts_per_tor, bool f2);
+
+/// `groups` core groups of `per_group` switches named "<name><index>",
+/// numbered group-major.
+void add_core_groups(BuiltTopology& topo, int groups, int per_group,
+                     const char* name = "core");
+
+/// `pods` pods, each of `aggs_per_pod` aggs then `tors_per_pod` ToRs.
+void add_pods(BuiltTopology& topo, int pods, int aggs_per_pod,
+              int tors_per_pod);
+
+/// Full agg x ToR bipartite links inside every pod, agg-major.
+void wire_pods(BuiltTopology& topo);
+
+/// The ring of across links over `members`: offsets 1..width/2, each a
+/// full lap, recording each link's ports as right (from) and left (to).
+void build_ring(BuiltTopology& topo,
+                const std::vector<net::L3Switch*>& members, int width);
+
+/// `hosts_per_tor` hosts on every ToR, addressed from the ToR's subnet.
+void attach_hosts(BuiltTopology& topo, int hosts_per_tor);
 
 }  // namespace f2t::topo

@@ -1,9 +1,6 @@
 #include "topo/vl2.hpp"
 
 #include <stdexcept>
-#include <string>
-
-#include "topo/addressing.hpp"
 
 namespace f2t::topo {
 
@@ -13,102 +10,42 @@ BuiltTopology build_vl2(net::Network& network, const Vl2Options& options) {
     throw std::invalid_argument("vl2: ports must be even and >= 4");
   }
   const int ints = n / 2;
-  const int aggs = n;
+  const int pairs = n / 2;
   // A pair of aggs serves N/2 dual-homed ToRs; the F² rewiring takes one
   // ToR per pair out of service to free one downward port on each agg of
   // the pair, keeping the rest dual-homed.
   const int tors_per_pair = options.f2_rewire ? n / 2 - 1 : n / 2;
-  const int pairs = n / 2;
-  const int tors = pairs * tors_per_pair;
-  if (tors > AddressPlan::kMaxTors || aggs > AddressPlan::kMaxAggs ||
-      ints > AddressPlan::kMaxCores ||
-      options.hosts_per_tor > AddressPlan::kMaxHostsPerTor) {
-    throw std::invalid_argument("vl2: exceeds address plan capacity");
-  }
-  if (options.f2_rewire && tors > AddressPlan::kMaxBackupCoveredTors) {
-    throw std::invalid_argument(
-        "vl2: F^2 rewiring exceeds the backup-prefix cover (256 ToRs)");
-  }
+  check_address_plan("vl2", std::int64_t{pairs} * tors_per_pair, n, ints,
+                     options.hosts_per_tor, options.f2_rewire);
 
-  BuiltTopology topo;
-  topo.network = &network;
-  topo.kind = TopologyKind::kVl2;
-  topo.ports = n;
-  topo.f2 = options.f2_rewire;
-  topo.ring_width = options.f2_rewire ? 2 : 0;
-
-  for (int i = 0; i < ints; ++i) {
-    topo.cores.push_back(&network.add_switch("int" + std::to_string(i),
-                                             AddressPlan::core_router_id(i)));
-  }
-  topo.core_groups.push_back(topo.cores);
-
-  for (int k = 0; k < pairs; ++k) {
-    BuiltTopology::Pod pod;
-    for (int j = 0; j < 2; ++j) {
-      const int a = 2 * k + j;
-      pod.aggs.push_back(&network.add_switch("agg" + std::to_string(a),
-                                             AddressPlan::agg_router_id(a)));
-    }
-    for (int t = 0; t < tors_per_pair; ++t) {
-      const int tor_index = k * tors_per_pair + t;
-      pod.tors.push_back(
-          &network.add_switch("tor" + std::to_string(tor_index),
-                              AddressPlan::tor_router_id(tor_index)));
-    }
-    topo.aggs.insert(topo.aggs.end(), pod.aggs.begin(), pod.aggs.end());
-    topo.tors.insert(topo.tors.end(), pod.tors.begin(), pod.tors.end());
-    topo.pods.push_back(std::move(pod));
-  }
+  BuiltTopology topo = start_topology(network, TopologyKind::kVl2, n,
+                                      options.f2_rewire ? 2 : 0);
+  add_core_groups(topo, 1, ints, "int");
+  add_pods(topo, pairs, 2, tors_per_pair);
 
   // Aggregation <-> intermediate full bipartite mesh. With the rewiring,
   // aggregation switch a frees one uplink (to intermediate a mod N/2).
-  for (int a = 0; a < aggs; ++a) {
-    for (int i = 0; i < ints; ++i) {
-      if (options.f2_rewire && i == a % ints) continue;
-      network.connect_default(*topo.aggs[static_cast<std::size_t>(a)],
-                              *topo.cores[static_cast<std::size_t>(i)]);
+  for (std::size_t a = 0; a < topo.aggs.size(); ++a) {
+    for (std::size_t i = 0; i < topo.cores.size(); ++i) {
+      if (options.f2_rewire && i == a % topo.cores.size()) continue;
+      network.connect_default(*topo.aggs[a], *topo.cores[i]);
     }
   }
 
-  // Dual-homed ToRs (all in-service ToRs keep both uplinks).
-  for (int k = 0; k < pairs; ++k) {
-    const auto& pod = topo.pods[static_cast<std::size_t>(k)];
-    for (int t = 0; t < tors_per_pair; ++t) {
-      for (int j = 0; j < 2; ++j) {
-        network.connect_default(*pod.aggs[static_cast<std::size_t>(j)],
-                                *pod.tors[static_cast<std::size_t>(t)]);
-      }
+  // Dual-homed ToRs (all in-service ToRs keep both uplinks). ToR-major,
+  // unlike wire_pods: the link order, and so the link ids, follow it.
+  for (const auto& pod : topo.pods) {
+    for (net::L3Switch* tor : pod.tors) {
+      for (net::L3Switch* agg : pod.aggs) network.connect_default(*agg, *tor);
     }
   }
 
   // Per-pair across rings: two parallel links between the pair members
   // (exactly like a 2-agg fat-tree pod in the testbed prototype).
   if (options.f2_rewire) {
-    for (const auto& pod : topo.pods) {
-      for (int j = 0; j < 2; ++j) {
-        net::L3Switch& from = *pod.aggs[static_cast<std::size_t>(j)];
-        net::L3Switch& to = *pod.aggs[static_cast<std::size_t>(1 - j)];
-        network.connect_default(from, to);
-        topo.rings[&from].right.push_back(
-            static_cast<net::PortId>(from.port_count() - 1));
-        topo.rings[&to].left.push_back(
-            static_cast<net::PortId>(to.port_count() - 1));
-      }
-    }
+    for (const auto& pod : topo.pods) build_ring(topo, pod.aggs, 2);
   }
-
-  for (std::size_t t = 0; t < topo.tors.size(); ++t) {
-    net::L3Switch* tor = topo.tors[t];
-    topo.subnet_of_tor[tor] = AddressPlan::tor_subnet(static_cast<int>(t));
-    for (int h = 0; h < options.hosts_per_tor; ++h) {
-      net::Host& host = network.add_host(
-          "h" + std::to_string(t) + "_" + std::to_string(h),
-          AddressPlan::host_addr(static_cast<int>(t), h), tor);
-      topo.hosts.push_back(&host);
-      topo.hosts_of_tor[tor].push_back(&host);
-    }
-  }
+  attach_hosts(topo, options.hosts_per_tor);
   return topo;
 }
 

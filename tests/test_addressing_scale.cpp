@@ -5,6 +5,7 @@
 
 #include "net/network.hpp"
 #include "topo/addressing.hpp"
+#include "topo/f2tree.hpp"
 #include "topo/fattree.hpp"
 #include "topo/leafspine.hpp"
 #include "topo/validate.hpp"
@@ -90,6 +91,38 @@ TEST(AddressPlanScale, F2RewiringKeepsBackupCover) {
   EXPECT_THROW(build_vl2(net, Vl2Options{.ports = 48, .f2_rewire = true,
                                          .hosts_per_tor = 1}),
                std::invalid_argument);
+  // 258 leaves and 34 x 17 = 578 ToRs.
+  EXPECT_THROW(build_leaf_spine(net, LeafSpineOptions{.ports = 260,
+                                                      .f2_rewire = true,
+                                                      .hosts_per_leaf = 1}),
+               std::invalid_argument);
+  EXPECT_THROW(build_f2tree_scaled(net, F2TreeScaledOptions{.ports = 36}),
+               std::invalid_argument);
+  // Every refusal comes before the first switch is built.
+  EXPECT_EQ(net.node_count(), 0u);
+}
+
+TEST(AddressPlanScale, OversizedBuildsThrowBeforeBuilding) {
+  // Host h of a ToR is .10+h of its /24, so the plan holds 240 per ToR;
+  // the bound applies to the requested count, not to the N/2 default.
+  sim::Simulator sim(1);
+  net::Network net(sim);
+  EXPECT_THROW(build_fat_tree(net, FatTreeOptions{.ports = 8,
+                                                  .hosts_per_tor = 250}),
+               std::invalid_argument);
+  // Switch counts grow with N², which must not wrap around int and slip
+  // under the capacity check.
+  EXPECT_THROW(build_fat_tree(net, FatTreeOptions{.ports = 65536,
+                                                  .hosts_per_tor = 1}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      build_f2tree_scaled(
+          net, F2TreeScaledOptions{.ports = 1 << 20, .hosts_per_tor = 1}),
+      std::invalid_argument);
+  EXPECT_EQ(net.node_count(), 0u);
+  const auto topo = build_fat_tree(
+      net, FatTreeOptions{.ports = 4, .hosts_per_tor = 240});
+  EXPECT_EQ(topo.hosts.back()->addr().str(), "10.11.7.249");
 }
 
 }  // namespace

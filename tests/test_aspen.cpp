@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/f2tree.hpp"
 #include "topo/aspen.hpp"
 
@@ -50,6 +52,12 @@ TEST(Aspen, RejectsBadParameters) {
                std::invalid_argument);  // 8 % 6 != 0
   EXPECT_THROW(build_aspen_tree(net, AspenOptions{.ports = 7,
                                                   .fault_tolerance = 1,
+                                                  .hosts_per_tor = -1}),
+               std::invalid_argument);
+  // 2*(f+1) must not overflow into a division by zero.
+  constexpr int kHuge = std::numeric_limits<int>::max();
+  EXPECT_THROW(build_aspen_tree(net, AspenOptions{.ports = 8,
+                                                  .fault_tolerance = kHuge,
                                                   .hosts_per_tor = -1}),
                std::invalid_argument);
 }

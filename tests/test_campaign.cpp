@@ -1,4 +1,6 @@
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -45,6 +47,26 @@ TEST(Json, TypeMismatchThrows) {
   EXPECT_THROW(v.at("a").as_string(), std::invalid_argument);
   EXPECT_THROW(v.at("missing"), std::invalid_argument);
   EXPECT_EQ(v.find("missing"), nullptr);
+}
+
+TEST(Json, AsIntRangeChecksBeforeTheCast) {
+  // Casting a double at or past 2^63 to int64 is undefined, so out-of-range
+  // values must be refused before the cast (this runs under UBSan too), and
+  // the message must print the value compactly, not as 300 digits.
+  for (const auto& [text, shown] :
+       {std::pair{"1e300", "1e+300"}, std::pair{"-1e300", "-1e+300"},
+        std::pair{"9.3e18", "9.3e+18"}, std::pair{"2.5", "2.5"}}) {
+    try {
+      core::json::parse(text).as_int();
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("json: expected an integer, got ") + shown);
+    }
+  }
+  EXPECT_EQ(core::json::parse("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(core::json::parse("4096").as_int(), 4096);
 }
 
 // --------------------------------------------------------- random split --

@@ -280,6 +280,15 @@ TEST(KnobTable, FlagsRejectWhatTheSpecRejects) {
   EXPECT_THROW(from_flags({"--conditions", "C9"}), std::invalid_argument);
   EXPECT_THROW(from_flags({"--workload", "incast", "--fidelity", "flow"}),
                std::invalid_argument);
+  // The fluid probe cannot run these either; every shard used to build and
+  // converge its testbed only to end in an error record.
+  EXPECT_THROW(from_flags({"--fidelity", "flow", "--fault", "gray"}),
+               std::invalid_argument);
+  EXPECT_THROW(from_flags({"--fidelity", "flow", "--detection", "probe"}),
+               std::invalid_argument);
+  EXPECT_THROW(from_flags({"--fidelity", "flow", "--fault", "gray"},
+                          FlagSet::kRecover),
+               std::invalid_argument);
   // recover: a zero BFD interval used to divide by zero in the run.
   EXPECT_THROW(from_flags({"--detection", "probe", "--bfd-tx-ms", "0"},
                           FlagSet::kRecover),
@@ -298,7 +307,11 @@ TEST(KnobTable, FlagsRejectWhatTheSpecRejects) {
         R"({"topologies": [{"name": "f2", "ports": 4}], "conditions": ["C1"],
             "detection": "oracle|probe"})",
         R"({"topologies": [{"name": "f2", "ports": 4}], "conditions": ["C1"],
-            "workload": {"fan_in": 4}})"}) {
+            "workload": {"fan_in": 4}})",
+        R"({"topologies": [{"name": "f2", "ports": 4}], "conditions": ["C1"],
+            "fidelity": "flow", "fault": "gray"})",
+        R"({"topologies": [{"name": "f2", "ports": 4}], "conditions": ["C1"],
+            "fidelity": "flow", "detection": "probe"})"}) {
     EXPECT_THROW(CampaignSpec::parse(bad), std::invalid_argument) << bad;
   }
 }
