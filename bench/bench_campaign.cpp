@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   const auto rn = exec::run_campaign(spec, parallel);
 
   // Process mode: forked workers streaming JSONL records into a scratch
-  // state dir (fork-only — the bench does not know the CLI binary path).
+  // state dir, the same path `f2tsim campaign --workers` runs.
   const std::string state_dir =
       (std::filesystem::temp_directory_path() /
        ("f2t-bench-campaign-" + std::to_string(::getpid())))

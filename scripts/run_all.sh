@@ -348,7 +348,8 @@ else
 fi
 
 echo "== campaign kill/resume smoke =="
-# Kill a forked worker mid-campaign with SIGKILL; the parent must fail,
+# Kill a forked worker (a child of the campaign process) mid-campaign
+# with SIGKILL; the parent must fail,
 # and --resume must complete the campaign into an artifact byte-identical
 # to an uninterrupted run. (If the campaign wins the race and finishes
 # before the kill lands, resume is a no-op and the comparison still
@@ -367,12 +368,17 @@ if "$BUILD"/tools/f2tsim campaign --spec "$OUT/spec_kill.json" --jobs 4 \
   campaign_pid=$!
   worker_pid=""
   for _ in $(seq 1 100); do
-    worker_pid=$(pgrep -P "$campaign_pid" -f "campaign-worker" | head -n 1) || true
+    worker_pid=$(pgrep -P "$campaign_pid" | head -n 1) || true
     [ -n "$worker_pid" ] && break
     sleep 0.05
   done
   if [ -n "$worker_pid" ]; then
     kill -9 "$worker_pid" 2>/dev/null || true
+  else
+    # Workers are forked children of the campaign process; finding none
+    # means the smoke killed nothing and proves nothing.
+    echo "BAD     no worker child of the campaign process was found to kill"
+    fail=1
   fi
   parent_rc=0
   wait "$campaign_pid" || parent_rc=$?

@@ -164,10 +164,7 @@ void set_value(const RunKnob& k, CampaignSpec& spec, const json::Value& v) {
             // Millisecond rows take an int, like every other integer knob.
             using Raw =
                 std::conditional_t<std::is_same_v<T, sim::Time>, int, T>;
-            const std::int64_t i = v.as_int();
-            if (!std::in_range<Raw>(i)) {
-              throw std::invalid_argument("out of range");
-            }
+            const Raw i = json::as_integer<Raw>(v, k.key);
             x = std::is_same_v<T, sim::Time> ? sim::millis(i)
                                              : static_cast<T>(i);
           }
@@ -332,9 +329,9 @@ CampaignSpec CampaignSpec::from_json(const json::Value& doc) {
         }
         TopologyAxis axis;
         axis.name = t.at("name").as_string();
-        axis.ports = static_cast<int>(t.at("ports").as_int());
-        axis.ring_width = static_cast<int>(t.int_or("ring_width", 2));
-        axis.aspen_f = static_cast<int>(t.int_or("aspen_f", 1));
+        axis.ports = t.int_at<int>("ports");
+        axis.ring_width = t.int_or("ring_width", 2);
+        axis.aspen_f = t.int_or("aspen_f", 1);
         spec.topologies.push_back(std::move(axis));
       }
     } else if (key == "controls") {
@@ -725,51 +722,6 @@ CampaignSpec survivability_spec(
 // Worker protocol: shard ranges, JSONL shard records, checkpoint
 // manifest.
 
-std::string format_shard_ranges(
-    const std::vector<std::pair<int, int>>& ranges) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    os << (i ? "," : "") << ranges[i].first << ":" << ranges[i].second;
-  }
-  return os.str();
-}
-
-std::vector<std::pair<int, int>> parse_shard_ranges(std::string_view text) {
-  std::vector<std::pair<int, int>> ranges;
-  std::string token;
-  std::istringstream in{std::string(text)};
-  while (std::getline(in, token, ',')) {
-    const auto colon = token.find(':');
-    if (colon == std::string::npos) {
-      throw std::invalid_argument("shard ranges: expected a:b, got '" +
-                                  token + "'");
-    }
-    int a = 0;
-    int b = 0;
-    try {
-      std::size_t used_a = 0;
-      std::size_t used_b = 0;
-      a = std::stoi(token.substr(0, colon), &used_a);
-      b = std::stoi(token.substr(colon + 1), &used_b);
-      if (used_a != colon || used_b != token.size() - colon - 1) {
-        throw std::invalid_argument("trailing junk");
-      }
-    } catch (const std::exception&) {
-      throw std::invalid_argument("shard ranges: malformed range '" + token +
-                                  "'");
-    }
-    if (a < 0 || b <= a) {
-      throw std::invalid_argument("shard ranges: empty or negative range '" +
-                                  token + "'");
-    }
-    ranges.emplace_back(a, b);
-  }
-  if (ranges.empty()) {
-    throw std::invalid_argument("shard ranges: empty specification");
-  }
-  return ranges;
-}
-
 std::vector<std::pair<int, int>> contiguous_ranges(
     const std::vector<int>& sorted_indices) {
   std::vector<std::pair<int, int>> ranges;
@@ -849,12 +801,12 @@ ShardResult parse_shard_record(std::string_view line) {
     throw std::invalid_argument("shard record: unknown protocol version");
   }
   ShardResult r;
-  r.index = static_cast<int>(doc.at("i").as_int());
+  r.index = doc.int_at<int>("i");
   r.topology = doc.at("topo").as_string();
   r.control = doc.at("control").as_string();
   r.site = doc.at("site").as_string();
   r.site_class = doc.at("class").as_string();
-  r.replicate = static_cast<int>(doc.at("rep").as_int());
+  r.replicate = doc.int_at<int>("rep");
   const std::string& seed_text = doc.at("seed").as_string();
   std::size_t used = 0;
   r.seed = std::stoull(seed_text, &used);
@@ -863,31 +815,30 @@ ShardResult parse_shard_record(std::string_view line) {
   }
   r.ok = doc.at("ok").as_bool();
   r.on_path = doc.at("on_path").as_bool();
-  r.connectivity_loss = doc.at("loss_ns").as_int();
-  r.packets_sent = static_cast<std::uint64_t>(doc.at("sent").as_int());
-  r.packets_lost = static_cast<std::uint64_t>(doc.at("lost").as_int());
-  r.events_executed = static_cast<std::size_t>(doc.at("events").as_int());
+  r.connectivity_loss = doc.int_at<sim::Time>("loss_ns");
+  r.packets_sent = doc.int_at<std::uint64_t>("sent");
+  r.packets_lost = doc.int_at<std::uint64_t>("lost");
+  r.events_executed = doc.int_at<std::size_t>("events");
   r.wall_seconds = doc.at("wall").as_double();
   r.scenario = doc.at("scenario").as_string();
-  r.spans = static_cast<std::size_t>(doc.at("spans").as_int());
-  r.detect_ns = doc.at("detect_ns").as_int();
-  r.converge_ns = doc.at("converge_ns").as_int();
-  r.samples = static_cast<std::size_t>(doc.at("samples").as_int());
+  r.spans = doc.int_at<std::size_t>("spans");
+  r.detect_ns = doc.int_at<sim::Time>("detect_ns");
+  r.converge_ns = doc.int_at<sim::Time>("converge_ns");
+  r.samples = doc.int_at<std::size_t>("samples");
   if (const json::Value* p99 = doc.find("queue_p99")) {
     r.queue_rollup = true;
     r.queue_p99 = p99->as_double();
     r.queue_max = doc.at("queue_max").as_double();
   }
-  if (const json::Value* slo_flows = doc.find("slo_flows")) {
+  if (doc.find("slo_flows") != nullptr) {
     r.slo = true;
-    r.slo_flows = static_cast<std::size_t>(slo_flows->as_int());
-    r.slo_completed =
-        static_cast<std::size_t>(doc.at("slo_completed").as_int());
+    r.slo_flows = doc.int_at<std::size_t>("slo_flows");
+    r.slo_completed = doc.int_at<std::size_t>("slo_completed");
     r.fct_p50_ms = doc.at("fct_p50_ms").as_double();
     r.fct_p99_ms = doc.at("fct_p99_ms").as_double();
     r.fct_p999_ms = doc.at("fct_p999_ms").as_double();
-    r.slo_deadline_in = static_cast<std::size_t>(doc.at("dl_in").as_int());
-    r.slo_deadline_out = static_cast<std::size_t>(doc.at("dl_out").as_int());
+    r.slo_deadline_in = doc.int_at<std::size_t>("dl_in");
+    r.slo_deadline_out = doc.int_at<std::size_t>("dl_out");
     r.slo_miss_in = doc.at("miss_in").as_double();
     r.slo_miss_out = doc.at("miss_out").as_double();
   }
@@ -913,8 +864,8 @@ CheckpointManifest CheckpointManifest::parse(std::string_view text) {
         "checkpoint manifest: bad schema_version/kind");
   }
   CheckpointManifest m;
-  m.shards = static_cast<int>(doc.at("shards").as_int());
-  m.workers = static_cast<int>(doc.at("workers").as_int());
+  m.shards = doc.int_at<int>("shards");
+  m.workers = doc.int_at<int>("workers");
   m.spec = CampaignSpec::from_json(doc.at("spec"));
   if (m.shards < 1 || m.workers < 1) {
     throw std::invalid_argument("checkpoint manifest: shards/workers < 1");

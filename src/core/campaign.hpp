@@ -350,19 +350,14 @@ CampaignSpec survivability_spec(
 
 // ------------------------------------------------------------------------
 // Worker protocol: shard ranges, streamed JSONL shard records and the
-// resumable checkpoint manifest (multi-process campaign execution).
-
-/// Formats half-open shard ranges as "a:b,c:d" (the worker subcommand's
-/// --shards argument).
-std::string format_shard_ranges(
-    const std::vector<std::pair<int, int>>& ranges);
-
-/// Parses "a:b,c:d" back into half-open ranges; throws
-/// std::invalid_argument on malformed text, empty or negative ranges.
-std::vector<std::pair<int, int>> parse_shard_ranges(std::string_view text);
+// resumable checkpoint manifest (multi-process campaign execution). The
+// integer fields of records and manifests are range-checked into their
+// target types (json::as_integer), so an out-of-range value is refused
+// rather than narrowed into another shard's slot.
 
 /// Compresses a sorted list of shard indices into minimal contiguous
-/// half-open ranges (resume passes the *missing* indices through this).
+/// half-open ranges (process mode passes the *missing* indices through
+/// this).
 std::vector<std::pair<int, int>> contiguous_ranges(
     const std::vector<int>& sorted_indices);
 

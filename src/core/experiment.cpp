@@ -95,8 +95,7 @@ Testbed::Testbed(const TopoBuilder& builder, const TestbedConfig& config)
 
   if (config_.sample_interval > 0) {
     sampler_ = std::make_unique<obs::TelemetrySampler>(
-        *sim_, obs::SamplerConfig{config_.sample_interval,
-                                  config_.sample_capacity});
+        *sim_, obs::SamplerConfig{.interval = config_.sample_interval});
     obs::attach_telemetry(*sampler_, *sim_, *network_);
   }
 

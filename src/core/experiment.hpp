@@ -24,7 +24,6 @@ namespace f2t::core {
 /// How the harness configures the F²Tree backup static routes.
 enum class BackupMode {
   kAuto,         ///< paper config iff the topology is F²-rewired
-  kNone,         ///< never (what plain fat tree runs use)
   kPaper,        ///< Table II: /16 right, /15 left (asymmetric lengths)
   kEqualLength,  ///< ablation: both across links under one ECMP prefix
 };
@@ -64,8 +63,6 @@ struct TestbedConfig {
   /// reorder same-timestamp work relative to an unsampled run — leave it
   /// off for byte-identity-sensitive runs.
   sim::Time sample_interval = 0;
-  /// Ring capacity (ticks) retained by the sampler.
-  std::size_t sample_capacity = 4096;
   /// Logger threshold applied to the simulator at construction.
   sim::LogLevel log_level = sim::LogLevel::kWarn;
 };

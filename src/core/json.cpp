@@ -257,11 +257,6 @@ double Value::number_or(std::string_view key, double fallback) const {
   return v == nullptr ? fallback : v->as_double();
 }
 
-std::int64_t Value::int_or(std::string_view key, std::int64_t fallback) const {
-  const Value* v = find(key);
-  return v == nullptr ? fallback : v->as_int();
-}
-
 std::string Value::string_or(std::string_view key, std::string fallback) const {
   const Value* v = find(key);
   return v == nullptr ? std::move(fallback) : v->as_string();

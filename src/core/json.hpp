@@ -1,6 +1,9 @@
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,9 +46,15 @@ class Value {
   /// Object member by key; throws std::invalid_argument when absent.
   const Value& at(std::string_view key) const;
 
+  /// Integer member `key` as T, through as_integer below (required, or
+  /// `fallback` when absent).
+  template <std::integral T>
+  T int_at(std::string_view key) const;
+  template <std::integral T>
+  T int_or(std::string_view key, T fallback) const;
+
   /// Convenience lookups with defaults, for optional spec fields.
   double number_or(std::string_view key, double fallback) const;
-  std::int64_t int_or(std::string_view key, std::int64_t fallback) const;
   std::string string_or(std::string_view key, std::string fallback) const;
   bool bool_or(std::string_view key, bool fallback) const;
 
@@ -64,6 +73,32 @@ class Value {
   std::vector<Value> array_;
   std::vector<std::pair<std::string, Value>> object_;
 };
+
+/// `v` as the integer type T. Throws std::invalid_argument when `v` is
+/// not an integer or, naming `key`, when it does not fit in T: a wide
+/// value is refused, never narrowed (4294967300 must not read as 4).
+template <std::integral T>
+T as_integer(const Value& v, std::string_view key) {
+  const std::int64_t i = v.as_int();
+  if (!std::in_range<T>(i)) {
+    throw std::invalid_argument(
+        "json: \"" + std::string(key) + "\" = " + std::to_string(i) +
+        " is outside [" + std::to_string(std::numeric_limits<T>::min()) +
+        ", " + std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return static_cast<T>(i);
+}
+
+template <std::integral T>
+T Value::int_at(std::string_view key) const {
+  return as_integer<T>(at(key), key);
+}
+
+template <std::integral T>
+T Value::int_or(std::string_view key, T fallback) const {
+  const Value* v = find(key);
+  return v == nullptr ? fallback : as_integer<T>(*v, key);
+}
 
 /// Parses one JSON document (with nothing but whitespace after it).
 /// Throws std::invalid_argument with a byte offset on malformed input.

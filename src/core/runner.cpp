@@ -241,7 +241,7 @@ UdpRun run_udp_plan_fluid(Testbed& bed, const failure::ScenarioPlan& plan,
                                      [&probe] { return probe.probe_rate_bps(); });
   }
   if (bed.sampling()) {
-    // FluidFlowTable rate of the probe flow, sampled like any other
+    // Max-min rate of the probe flow, sampled like any other
     // series (the probe is constructed before the first tick fires).
     bed.sampler().add_gauge("fluid.probe_rate_bps",
                             [&probe] { return probe.probe_rate_bps(); });

@@ -41,26 +41,11 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-/// Near-equal split of a contiguous [0, n) block: worker i gets a
-/// half-open range, first `n % workers` workers one shard larger.
-/// Workers beyond the shard count get empty ranges (and are skipped).
-std::vector<std::vector<std::pair<int, int>>> split_block(int n,
-                                                          int workers) {
-  std::vector<std::vector<std::pair<int, int>>> out(
-      static_cast<std::size_t>(workers));
-  const int base = n / workers;
-  const int rem = n % workers;
-  int start = 0;
-  for (int w = 0; w < workers; ++w) {
-    const int len = base + (w < rem ? 1 : 0);
-    if (len > 0) out[static_cast<std::size_t>(w)] = {{start, start + len}};
-    start += len;
-  }
-  return out;
-}
-
-/// Near-equal split of an arbitrary sorted index list (the resume
-/// missing-set), each worker's share compressed to contiguous ranges.
+/// Near-equal split of the sorted missing-shard list, each worker's share
+/// compressed to contiguous ranges: the first `n % workers` workers get
+/// one shard more, and workers beyond the shard count get nothing (and
+/// are not forked). A fresh run's list is all of [0, n), so every
+/// worker gets one block.
 std::vector<std::vector<std::pair<int, int>>> split_indices(
     const std::vector<int>& indices, int workers) {
   std::vector<std::vector<std::pair<int, int>>> out(
@@ -147,7 +132,7 @@ void drain_stream(Worker& w, std::vector<core::ShardResult>& slots,
                   const std::function<void(const core::ShardResult&)>& hook,
                   bool final_drain) {
   std::ifstream in(w.path, std::ios::binary);
-  if (!in) return;  // exec-mode worker has not created its stream yet
+  if (!in) return;  // the worker has not opened its stream yet
   in.seekg(0, std::ios::end);
   const std::streamoff size = in.tellg();
   if (size <= w.offset) return;
@@ -190,26 +175,6 @@ void drain_stream(Worker& w, std::vector<core::ShardResult>& slots,
   }
 }
 
-[[noreturn]] void exec_worker(const std::string& exe,
-                              const std::string& spec_path,
-                              const std::string& shards,
-                              const std::string& out_path) {
-  std::vector<std::string> args = {exe,        "campaign-worker",
-                                   "--spec",   spec_path,
-                                   "--shards", shards,
-                                   "--out",    out_path};
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (std::string& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(exe.c_str(), argv.data());
-  // Exec failed: report on stderr (the only channel left) and die with a
-  // status the parent maps to "worker exited abnormally".
-  std::fprintf(stderr, "campaign-worker: execv %s: %s\n", exe.c_str(),
-               std::strerror(errno));
-  ::_exit(127);
-}
-
 }  // namespace
 
 int run_campaign_worker(const core::CampaignSpec& spec,
@@ -220,7 +185,7 @@ int run_campaign_worker(const core::CampaignSpec& spec,
   for (const auto& [a, b] : ranges) {
     if (a < 0 || static_cast<std::size_t>(b) > shards.size()) {
       throw std::invalid_argument(
-          "campaign-worker: shard range " + std::to_string(a) + ":" +
+          "campaign: worker shard range " + std::to_string(a) + ":" +
           std::to_string(b) + " outside 0:" + std::to_string(shards.size()));
     }
     for (int i = a; i < b; ++i) {
@@ -251,8 +216,6 @@ core::CampaignResult run_campaign_processes(
   std::vector<bool> present(shards.size(), false);
 
   const std::string manifest_path = options.state_dir + "/manifest.json";
-  const std::string spec_path = options.state_dir + "/spec.json";
-  const std::string echo = spec_echo(spec);
 
   if (options.resume) {
     if (!fs::exists(manifest_path)) {
@@ -261,7 +224,7 @@ core::CampaignResult run_campaign_processes(
     }
     const core::CheckpointManifest manifest =
         core::CheckpointManifest::parse(read_file(manifest_path));
-    if (spec_echo(manifest.spec) != echo) {
+    if (spec_echo(manifest.spec) != spec_echo(spec)) {
       throw std::runtime_error(
           "campaign: --resume spec does not match the checkpointed "
           "campaign in " +
@@ -287,32 +250,20 @@ core::CampaignResult run_campaign_processes(
     manifest.workers = options.workers;
     std::ofstream mos(manifest_path, std::ios::binary);
     manifest.write_json(mos);
-    std::ofstream sos(spec_path, std::ios::binary);
-    sos << echo << "\n";
-    if (!mos.good() || !sos.good()) {
+    if (!mos.good()) {
       throw std::runtime_error("campaign: cannot write state into " +
                                options.state_dir);
     }
   }
-  if (!fs::exists(spec_path)) {
-    // A resume of a state dir whose spec echo went missing (exec-mode
-    // workers need it on disk).
-    std::ofstream sos(spec_path, std::ios::binary);
-    sos << echo << "\n";
-  }
 
-  // Work assignment: a fresh run splits the contiguous shard block; a
-  // resume splits whatever indices are still missing. Either way the
-  // ranges are pure functions of (spec, checkpoint state), so identical
-  // shards re-run identically.
+  // Work assignment: split whatever indices are still missing — all of
+  // them on a fresh run. The ranges are a pure function of (spec,
+  // checkpoint state), so identical shards re-run identically.
   std::vector<int> missing;
   for (std::size_t i = 0; i < present.size(); ++i) {
     if (!present[i]) missing.push_back(static_cast<int>(i));
   }
-  const auto assignment =
-      options.resume
-          ? split_indices(missing, options.workers)
-          : split_block(static_cast<int>(shards.size()), options.workers);
+  const auto assignment = split_indices(missing, options.workers);
 
   std::vector<Worker> workers;
   for (int w = 0; w < options.workers; ++w) {
@@ -331,19 +282,21 @@ core::CampaignResult run_campaign_processes(
                                std::strerror(errno));
     }
     if (pid == 0) {
-      // Child. The parent is single-threaded at this point (workers are
-      // forked before any reduction starts), so fork-only mode is safe.
-      if (!options.exe.empty()) {
-        exec_worker(options.exe, spec_path, core::format_shard_ranges(ranges),
-                    worker.path);
-      }
+      // Child: runs its ranges on the parent's in-memory spec and leaves
+      // with _exit, so nothing of the parent (atexit hooks, buffered
+      // stdio) runs twice. The parent is single-threaded at this point
+      // (workers are forked before any reduction starts). Appending keeps
+      // the records an earlier run checkpointed in this stream.
       int code = 0;
       try {
         std::ofstream out(worker.path, std::ios::binary | std::ios::app);
         run_campaign_worker(spec, ranges, out);
         out.flush();
-        if (!out.good()) code = 3;
-      } catch (const std::exception&) {
+        if (!out.good()) {
+          throw std::runtime_error("cannot write " + worker.path);
+        }
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "campaign: worker %d: %s\n", w, e.what());
         code = 2;
       }
       ::_exit(code);

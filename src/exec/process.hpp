@@ -12,18 +12,18 @@ namespace f2t::exec {
 
 /// Process-level campaign execution (`f2tsim campaign --workers N`).
 ///
-/// The parent writes a checkpoint manifest plus a canonical spec echo
-/// into a state directory, forks N workers over contiguous shard
-/// ranges, and reduces their per-worker JSONL streams back into the
-/// ordinary core::CampaignResult. Workers re-enumerate the shard list
-/// from the spec (shards are a pure function of it), run their
-/// half-open ranges serially and flush one self-contained JSONL record
-/// per completed shard — so a SIGKILL loses at most the shard in
-/// flight, and --resume re-runs exactly the missing indices.
+/// The parent writes a checkpoint manifest (which embeds the canonical
+/// spec echo) into a state directory, forks N child workers over
+/// contiguous shard ranges, and reduces their per-worker JSONL streams
+/// back into the ordinary core::CampaignResult. Each child works from the
+/// parent's in-memory spec: it re-enumerates the shard list (shards are
+/// a pure function of the spec), runs its half-open ranges serially and
+/// flushes one self-contained JSONL record per completed shard — so a
+/// SIGKILL loses at most the shard in flight, and --resume re-runs
+/// exactly the missing indices.
 ///
 /// State-directory layout (default `<out>.state/`):
 ///   manifest.json    core::CheckpointManifest (spec echo + geometry)
-///   spec.json        canonical spec echo, what exec-mode workers load
 ///   worker-<i>.jsonl one stream per worker, appended on resume
 ///
 /// Determinism contract: records carry exact values (doubles at 17
@@ -35,13 +35,6 @@ struct ProcessCampaignOptions {
   int workers = 2;          ///< forked worker processes (>= 1)
   bool resume = false;      ///< continue from an existing state dir
   std::string state_dir;    ///< checkpoint/stream directory (required)
-  /// Binary to exec for workers (e.g. /proc/self/exe). Empty = fork-only
-  /// mode: the child calls run_campaign_worker in-process and _exit()s —
-  /// what tests and benchmarks use, since they do not know the CLI
-  /// binary's path. Non-empty = fork+exec `<exe> campaign-worker
-  /// --spec <state>/spec.json --shards a:b --out <state>/worker-<i>.jsonl`
-  /// so worker processes are visible (and killable) by command line.
-  std::string exe;
   /// Optional progress hook, invoked from the reducer (parent process,
   /// single thread) as each streamed record arrives — arrival order,
   /// not shard order.
@@ -50,9 +43,8 @@ struct ProcessCampaignOptions {
 
 /// Worker body: runs every shard of `ranges` (half-open, ascending)
 /// serially and streams one JSONL record per shard to `out`, flushing
-/// after each. Returns the number of shards run. Exec-mode workers call
-/// this via the hidden `campaign-worker` subcommand; fork-only mode
-/// calls it directly in the child.
+/// after each. Returns the number of shards run. Each forked worker
+/// calls this in the child process.
 int run_campaign_worker(const core::CampaignSpec& spec,
                         const std::vector<std::pair<int, int>>& ranges,
                         std::ostream& out);
@@ -68,9 +60,10 @@ int run_campaign_worker(const core::CampaignSpec& spec,
 /// trailing line from a killed worker is detected and truncated away)
 /// and only the missing shard indices are re-run.
 ///
-/// Throws std::runtime_error when a worker dies abnormally (after
-/// draining its stream — completed shards stay checkpointed) or when
-/// records are missing after all workers exit; the message suggests
+/// A worker that throws prints `campaign: worker <i>: <what>` to stderr
+/// and exits 2. Throws std::runtime_error when a worker dies abnormally
+/// (after draining its stream — completed shards stay checkpointed) or
+/// when records are missing after all workers exit; the message suggests
 /// --resume.
 core::CampaignResult run_campaign_processes(
     const core::CampaignSpec& spec, const ProcessCampaignOptions& options);

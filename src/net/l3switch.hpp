@@ -85,13 +85,6 @@ class L3Switch : public Node {
   void add_control_handler(ControlHandler handler) {
     if (handler) control_handlers_.push_back(std::move(handler));
   }
-  /// Compatibility shim for the historic single-handler API: *replaces*
-  /// all handlers with `handler` (nullptr uninstalls them all). Prefer
-  /// add_control_handler.
-  void set_control_handler(ControlHandler handler) {
-    control_handlers_.clear();
-    add_control_handler(std::move(handler));
-  }
   std::size_t control_handler_count() const {
     return control_handlers_.size();
   }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "core/arena.hpp"
@@ -37,8 +36,6 @@ namespace f2t::transport {
 /// refuses): gray faults (per-packet RNG needs packets), probe/BFD
 /// detection (hello timing would interleave with probe serialization),
 /// and TCP (window dynamics are inherently per-packet).
-class FluidFlowTable;
-
 class FluidProbe {
  public:
   struct Options {
@@ -110,12 +107,11 @@ class FluidProbe {
 
   const Stats& stats() const { return stats_; }
 
-  /// The max-min rate table the probe registers its live path with (one
-  /// flow here; shared when several fluid workloads run on one network).
-  FluidFlowTable& flows() { return *flows_; }
-
-  /// The probe flow's current max-min rate share in bits per second.
-  double probe_rate_bps();
+  /// The probe flow's current max-min rate in bits per second. With one
+  /// flow, water-filling gives its CBR demand capped by the slowest link
+  /// of the current regime's delivered path; 0 while the probe is
+  /// unrouted.
+  double probe_rate_bps() const;
 
  private:
   /// One resolved hop of a send's path. `enqueue` is absolute in pending
@@ -186,7 +182,6 @@ class FluidProbe {
   sim::Time regime_decision_offset() const;
   void partition_sends(sim::Time now);
   void advance_pending(std::uint32_t pending_idx, sim::Time now);
-  void sync_flow_path();
   bool channel_clean(std::uint32_t channel) const;
   /// When a send enqueued on `hop`'s channel at `enqueue` dies there, at
   /// the packet engine's drop point (enqueue on a down channel, else
@@ -226,9 +221,6 @@ class FluidProbe {
   std::vector<std::uint32_t> pending_scratch_;  ///< open-list snapshot
   std::vector<UdpSink::Arrival> arrivals_;
   bool finalized_ = false;
-
-  std::unique_ptr<FluidFlowTable> flows_;
-  std::uint32_t probe_flow_ = 0;
 
   Stats stats_;
 };

@@ -69,6 +69,25 @@ TEST(Json, AsIntRangeChecksBeforeTheCast) {
   EXPECT_EQ(core::json::parse("4096").as_int(), 4096);
 }
 
+TEST(Json, AsIntegerRefusesNarrowing) {
+  const auto v = core::json::parse(
+      R"({"wide": 4294967300, "neg": -1, "max": 2147483647})");
+  EXPECT_EQ(v.int_at<int>("max"), 2147483647);
+  EXPECT_EQ(v.int_at<std::int64_t>("wide"), 4294967300);
+  EXPECT_EQ(v.int_or("absent", 7), 7);
+  try {
+    (void)v.int_at<int>("wide");
+    ADD_FAILURE() << "4294967300 narrowed into an int";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "json: \"wide\" = 4294967300 is outside "
+              "[-2147483648, 2147483647]");
+  }
+  EXPECT_THROW((void)v.int_or("wide", 0), std::invalid_argument);
+  EXPECT_THROW((void)v.int_at<std::uint64_t>("neg"), std::invalid_argument);
+  EXPECT_THROW((void)v.int_at<std::uint8_t>("max"), std::invalid_argument);
+}
+
 // --------------------------------------------------------- random split --
 
 TEST(RandomSplit, StreamsAreStableAndDistinct) {
@@ -143,6 +162,19 @@ TEST(CampaignSpec, RejectsUnknownKeysAndBadValues) {
                    R"({"topologies": [{"name": "f2", "ports": 4}],
                        "controls": ["rip"], "conditions": ["C1"]})"),
                std::invalid_argument);
+}
+
+TEST(CampaignSpec, TopologyIntegersAreNotNarrowed) {
+  // Each of these would wrap to a valid small int (4, 2, 1) if narrowed.
+  for (const char* topo :
+       {R"({"name": "f2", "ports": 4294967300})",
+        R"({"name": "f2", "ports": 4, "ring_width": 4294967298})",
+        R"({"name": "aspen", "ports": 4, "aspen_f": 4294967297})"}) {
+    const std::string spec = std::string(R"({"topologies": [)") + topo +
+                             R"(], "conditions": ["C1"]})";
+    EXPECT_THROW(core::CampaignSpec::parse(spec), std::invalid_argument)
+        << topo;
+  }
 }
 
 TEST(CampaignSpec, DefaultDetectionAndFaultKnobsAreOmittedFromEcho) {
@@ -575,20 +607,6 @@ TEST(CampaignSpec, SurvivabilitySpecRejectsBadArguments) {
 
 // ------------------------------------------------------ worker protocol --
 
-TEST(WorkerProtocol, ShardRangesRoundTripAndReject) {
-  const std::vector<std::pair<int, int>> ranges{{0, 4}, {7, 9}};
-  const std::string text = core::format_shard_ranges(ranges);
-  EXPECT_EQ(text, "0:4,7:9");
-  EXPECT_EQ(core::parse_shard_ranges(text), ranges);
-  EXPECT_THROW(core::parse_shard_ranges(""), std::invalid_argument);
-  EXPECT_THROW(core::parse_shard_ranges("3"), std::invalid_argument);
-  EXPECT_THROW(core::parse_shard_ranges("4:4"), std::invalid_argument);
-  EXPECT_THROW(core::parse_shard_ranges("5:3"), std::invalid_argument);
-  EXPECT_THROW(core::parse_shard_ranges("-1:3"), std::invalid_argument);
-  EXPECT_THROW(core::parse_shard_ranges("0:2,x:3"), std::invalid_argument);
-  EXPECT_THROW(core::parse_shard_ranges("0:2junk"), std::invalid_argument);
-}
-
 TEST(WorkerProtocol, ContiguousRangesCompressIndexLists) {
   EXPECT_TRUE(core::contiguous_ranges({}).empty());
   EXPECT_EQ(core::contiguous_ranges({3}),
@@ -697,6 +715,60 @@ TEST(WorkerProtocol, TornLinesAreRejected) {
         << "prefix of " << cut << " bytes parsed";
   }
   EXPECT_THROW(core::parse_shard_record("{\"v\": 2}"), std::invalid_argument);
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string replace_once(std::string text, const std::string& from,
+                         const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(WorkerProtocol, RecordIntegersAreNotNarrowed) {
+  core::ShardResult r;
+  r.index = 1;
+  r.topology = "f2-4";
+  r.control = "ospf";
+  r.site = "L0";
+  r.seed = 7;
+  r.ok = true;
+  r.packets_sent = 10;
+  r.slo = true;
+  r.slo_flows = 3;
+  std::ostringstream os;
+  core::write_shard_record(os, r);
+  const std::string line = os.str().substr(0, os.str().size() - 1);
+  EXPECT_EQ(core::parse_shard_record(line).index, 1);
+  // Narrowed, "i" would file this record under shard 0, "rep" would read
+  // 0 and a negative count would become 2^64 - 1.
+  for (const auto& [from, to] :
+       {std::pair{"\"i\": 1", "\"i\": 4294967296"},
+        std::pair{"\"rep\": 0", "\"rep\": 4294967296"},
+        std::pair{"\"sent\": 10", "\"sent\": -1"},
+        std::pair{"\"events\": 0", "\"events\": -1"},
+        std::pair{"\"slo_flows\": 3", "\"slo_flows\": -3"}}) {
+    EXPECT_THROW(core::parse_shard_record(replace_once(line, from, to)),
+                 std::invalid_argument)
+        << to;
+  }
+}
+
+TEST(WorkerProtocol, ManifestIntegersAreNotNarrowed) {
+  core::CheckpointManifest m;
+  m.spec = tiny_spec();
+  m.shards = 6;
+  m.workers = 1;
+  std::ostringstream os;
+  m.write_json(os);
+  // 4294967297 would narrow to 1 and pass the manifest's `< 1` check.
+  EXPECT_THROW(core::CheckpointManifest::parse(replace_once(
+                   os.str(), "\"shards\": 6", "\"shards\": 4294967297")),
+               std::invalid_argument);
+  EXPECT_THROW(core::CheckpointManifest::parse(replace_once(
+                   os.str(), "\"workers\": 1", "\"workers\": 4294967297")),
+               std::invalid_argument);
 }
 
 TEST(WorkerProtocol, ManifestRoundTripsAndValidates) {

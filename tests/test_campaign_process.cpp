@@ -192,6 +192,46 @@ TEST(CampaignProcess, KilledCampaignResumesToIdenticalArtifact) {
   }
 }
 
+/// A checkpointed record whose shard index does not fit an int is torn,
+/// not filed: narrowed, shard 1's record carrying "i": 4294967296 would
+/// land in shard 0's slot and the resumed artifact would differ.
+TEST(CampaignProcess, OutOfRangeRecordIsTruncatedNotMisfiled) {
+  const auto spec = tiny_spec();
+  ScratchDir dir("narrow");
+  exec::ProcessCampaignOptions options;
+  options.workers = 1;
+  options.state_dir = dir.path;
+  const std::string reference =
+      deterministic_json(exec::run_campaign_processes(spec, options));
+
+  const std::string stream = dir.path + "/worker-0.jsonl";
+  std::string second;
+  {
+    std::ifstream in(stream);
+    ASSERT_TRUE(std::getline(in, second));
+    ASSERT_TRUE(std::getline(in, second));
+  }
+  const std::string prefix = "{\"v\": 1, \"i\": 1,";
+  ASSERT_EQ(second.rfind(prefix, 0), 0u);
+  second.replace(0, prefix.size(), "{\"v\": 1, \"i\": 4294967296,");
+  {
+    std::ofstream out(stream, std::ios::trunc);
+    out << second << "\n";
+  }
+
+  options.resume = true;
+  EXPECT_EQ(deterministic_json(exec::run_campaign_processes(spec, options)),
+            reference);
+  // The refused line was cut before the resumed worker appended.
+  std::ifstream in(stream);
+  std::string line;
+  std::vector<int> indices;
+  while (std::getline(in, line)) {
+    indices.push_back(core::parse_shard_record(line).index);
+  }
+  EXPECT_EQ(indices, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
 TEST(CampaignProcess, ErrorShardsCrossTheWorkerBoundaryIntact) {
   // A campaign whose shards all throw: the per-shard error records must
   // stream through workers and reduce byte-identically to in-process.

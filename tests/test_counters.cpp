@@ -63,7 +63,7 @@ TEST(SwitchCounters, ControlPacketsAreCountedNotForwarded) {
 
   int control_seen = 0;
   net::PortId control_port = net::kInvalidPort;
-  a.set_control_handler([&](net::PortId p, const net::Packet&) {
+  a.add_control_handler([&](net::PortId p, const net::Packet&) {
     ++control_seen;
     control_port = p;
   });
@@ -76,11 +76,12 @@ TEST(SwitchCounters, ControlPacketsAreCountedNotForwarded) {
   EXPECT_EQ(control_seen, 1);
   EXPECT_EQ(control_port, 2);
 
-  // Without a handler the packet is still counted, not forwarded.
-  a.set_control_handler(nullptr);
-  a.receive(2, p);
-  EXPECT_EQ(a.counters().control_in, 2u);
-  EXPECT_EQ(a.counters().forwarded, 0u);
+  // A switch without a handler still counts the packet, not forwards it.
+  auto& bare = net.add_switch("bare", net::Ipv4Addr(10, 0, 0, 2));
+  ASSERT_EQ(bare.control_handler_count(), 0u);
+  bare.receive(2, p);
+  EXPECT_EQ(bare.counters().control_in, 1u);
+  EXPECT_EQ(bare.counters().forwarded, 0u);
 }
 
 TEST(SwitchCounters, LocalDeliveryIsCounted) {

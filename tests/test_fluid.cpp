@@ -3,6 +3,8 @@
 #include <stdexcept>
 
 #include "core/runner.hpp"
+#include "net/l3switch.hpp"
+#include "net/network.hpp"
 #include "transport/fluid.hpp"
 
 namespace f2t {
@@ -115,6 +117,36 @@ TEST(FluidRunner, RefusesTcp) {
 // ---------------------------------------------------------------------------
 // FluidProbe end-to-end sanity (exhaustive window equality lives in
 // test_fidelity_property.cpp).
+
+TEST(FluidProbe, RateIsDemandCappedByTheSlowestLinkAndZeroUnrouted) {
+  sim::Simulator sim(1);
+  net::Network net(sim);
+  auto& sw = net.add_switch("sw", net::Ipv4Addr(10, 12, 0, 1));
+  auto& h1 = net.add_host("h1", net::Ipv4Addr(10, 11, 0, 10), &sw);
+  auto& h2 = net.add_host("h2", net::Ipv4Addr(10, 11, 0, 11), &sw);
+  net::LinkParams slow;
+  slow.bandwidth_bps = 50e6;
+  net.set_default_link_params(slow);
+  auto& h3 = net.add_host("h3", net::Ipv4Addr(10, 11, 0, 12), &sw);
+
+  transport::FluidProbe::Options options;
+  options.stop = sim::millis(10);
+  const double demand = (options.payload_bytes + net::kUdpHeaderBytes) *
+                        8.0 / sim::to_seconds(options.interval);
+  ASSERT_LT(demand, 1e9);
+  ASSERT_GT(demand, slow.bandwidth_bps);
+  transport::FluidProbe fast(net, h1, h2, options);
+  transport::FluidProbe capped(net, h1, h3, options);
+  EXPECT_DOUBLE_EQ(fast.probe_rate_bps(), demand);
+  EXPECT_DOUBLE_EQ(capped.probe_rate_bps(), slow.bandwidth_bps);
+
+  // Withdraw h2's route: the next regime has no route, so no rate.
+  sw.fib().remove(net::Prefix::host(h2.addr()),
+                  routing::RouteSource::kConnected);
+  sim.run(sim::millis(1));
+  EXPECT_EQ(fast.probe_rate_bps(), 0.0);
+  EXPECT_DOUBLE_EQ(capped.probe_rate_bps(), slow.bandwidth_bps);
+}
 
 TEST(FluidRunner, NoFailureDeliversEverySend) {
   // Push the fault past the horizon: the probe sees one unbroken regime

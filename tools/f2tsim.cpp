@@ -9,7 +9,6 @@
 /// use, so a CLI run is exactly reproducible in code.
 
 #include <atomic>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -327,12 +326,6 @@ int cmd_campaign(core::Cli& cli) {
     options.workers = workers;
     options.resume = resume;
     options.state_dir = state_dir;
-    // Workers re-exec this binary (the child's command line reads
-    // "campaign-worker", so it is visible and killable by name); if the
-    // self path cannot be resolved, fall back to fork-only children.
-    std::error_code ec;
-    const auto self = std::filesystem::read_symlink("/proc/self/exe", ec);
-    if (!ec) options.exe = self.string();
     int done = 0;
     options.on_record = [&done, total](const core::ShardResult&) {
       ++done;
@@ -418,33 +411,6 @@ int cmd_campaign(core::Cli& cli) {
   return 0;
 }
 
-/// Hidden subcommand: one forked campaign worker. The parent invokes
-/// `f2tsim campaign-worker --spec <state>/spec.json --shards a:b --out
-/// <state>/worker-<i>.jsonl`; not advertised in usage() because users
-/// never run it by hand.
-int cmd_campaign_worker(core::Cli& cli) {
-  const std::string spec_path = cli.get("spec", "");
-  const std::string shards = cli.get("shards", "");
-  const std::string out_path = cli.get("out", "");
-  if (has_unknown_option(cli)) return 2;
-  if (spec_path.empty() || shards.empty() || out_path.empty()) {
-    std::cerr << "campaign-worker needs --spec, --shards and --out\n";
-    return 2;
-  }
-  const auto spec = core::CampaignSpec::parse(slurp_or_die(spec_path));
-  const auto ranges = core::parse_shard_ranges(shards);
-  // Append mode: on --resume the stream already holds this worker's
-  // earlier records and new ones must follow them.
-  std::ofstream out(out_path, std::ios::binary | std::ios::app);
-  if (!out) {
-    std::cerr << "cannot write " << out_path << "\n";
-    return 1;
-  }
-  exec::run_campaign_worker(spec, ranges, out);
-  out.flush();
-  return out.good() ? 0 : 1;
-}
-
 int cmd_topo(core::Cli& cli) {
   const auto builder = core::topology_builder(
       cli.get("topo", "f2"), cli.get_int("ports", 8),
@@ -488,7 +454,6 @@ int main(int argc, char** argv) {
     if (cli.command() == "recover") return cmd_recover(cli);
     if (cli.command() == "workload") return cmd_workload(cli);
     if (cli.command() == "campaign") return cmd_campaign(cli);
-    if (cli.command() == "campaign-worker") return cmd_campaign_worker(cli);
     if (cli.command() == "topo") return cmd_topo(cli);
     if (cli.command() == "table1") return cmd_table1(cli);
     std::cerr << "unknown command: " << cli.command() << "\n";
