@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <iostream>
+#include <queue>
 #include <set>
 #include <unordered_map>
 
@@ -265,7 +267,7 @@ void BM_SwitchForward(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchForward);
 
-// Same path with one forwarding tap attached (what PacketTracer or the
+// Same path with one forwarding tap attached (what a packet tracer or the
 // event journal costs per packet, excluding their own recording work).
 void BM_SwitchForwardTapped(benchmark::State& state) {
   ForwardBench bench;
@@ -316,16 +318,19 @@ void BM_Spf(benchmark::State& state) {
   for (net::PortId p = 0; p < sw->port_count(); ++p) {
     adj.push_back({p, sw->port(p).peer_addr});
   }
+  // A reset solver runs full Dijkstra; without the reset every iteration
+  // after the first would be an incremental no-op.
+  routing::SpfSolver solver;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        routing::compute_spf(lsdb, sw->router_id(), adj));
+    solver.reset();
+    benchmark::DoNotOptimize(solver.run(lsdb, sw->router_id(), adj));
   }
 }
 BENCHMARK(BM_Spf)->Arg(8)->Arg(16);
 
 // First-hop set representations head to head: the union/insert pattern
 // Dijkstra's relaxation performs, on the seed's std::set<Ipv4Addr> vs the
-// inline sorted vector compute_spf uses now. 8 ECMP members, 16 unions —
+// inline sorted vector SpfSolver uses now. 8 ECMP members, 16 unions —
 // roughly one destination's worth of relaxations in a k=16 fat tree.
 void BM_SpfFirstHopsStdSet(benchmark::State& state) {
   for (auto _ : state) {
@@ -391,14 +396,25 @@ void BM_SchedulerCancelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerCancelChurn);
 
-// Raw key-queue schedule/pop, calendar vs the retired binary heap, under
-// the hold model (pop one, push one at a later time) that dominates a
-// discrete-event run. The heap stays compiled as the honest baseline,
-// and the comparison is honest in both directions: the flat heap's
+// Raw key-queue schedule/pop, calendar vs the retired binary heap (a
+// std::priority_queue over the same key), under the hold model (pop one,
+// push one at a later time) that dominates a discrete-event run. The
+// comparison is honest in both directions: the flat heap's
 // cache locality wins at small populations (~1.3x at 16k keys), the
 // calendar's O(1) hold wins once the heap's log-depth outgrows the
 // cache (crossover between 16k and 262k on this box) — the event
 // populations the widened address plan's big fabrics generate.
+using BinaryHeap = std::priority_queue<sim::EventKey,
+                                       std::vector<sim::EventKey>,
+                                       std::greater<>>;
+
+sim::EventKey pop_min(BinaryHeap& q) {
+  const sim::EventKey k = q.top();
+  q.pop();
+  return k;
+}
+sim::EventKey pop_min(sim::CalendarQueue& q) { return q.pop(); }
+
 template <typename Queue>
 void key_queue_hold(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -414,7 +430,7 @@ void key_queue_hold(benchmark::State& state) {
               id++});
     }
     for (int i = 0; i < 4 * n; ++i) {
-      const sim::EventKey k = q.pop();
+      const sim::EventKey k = pop_min(q);
       salt ^= salt << 13; salt ^= salt >> 7; salt ^= salt << 17;
       q.push({k.at + 1000 + static_cast<sim::Time>(salt % 997), id++});
     }
@@ -423,7 +439,7 @@ void key_queue_hold(benchmark::State& state) {
 }
 
 void BM_BinaryHeapQueueHold(benchmark::State& state) {
-  key_queue_hold<sim::BinaryHeapQueue>(state);
+  key_queue_hold<BinaryHeap>(state);
 }
 BENCHMARK(BM_BinaryHeapQueueHold)->Arg(1024)->Arg(16384)->Arg(262144);
 

@@ -1,5 +1,5 @@
 /// Control-plane fast-path benchmark: single-link-failure reconvergence
-/// SPF, full Dijkstra (compute_spf) vs the incremental SpfSolver, at
+/// SPF, full Dijkstra (a reset SpfSolver) vs the incremental solver, at
 /// k = 8/16/20 fat trees (k = 20 — 500 switches — is the largest radix
 /// the 256-ToR address plan admits), plus the FIB install delta each
 /// recompute produces. Emits BENCH_spf.json (see bench_util.hpp); the committed
@@ -16,8 +16,9 @@
 /// computation at k = 8/16/32 (view build, the destination-rooted
 /// DestinationSpf kernel, every switch's routes, FIB delta install), with
 /// its route count. On the same view they also time the kernel alone
-/// against the per-source reference (compute_spf for every switch, what
-/// the controller ran before) and check that both give identical routes.
+/// against the per-source reference (a full SpfSolver run for every
+/// switch, what the controller ran before) and check that both give
+/// identical routes.
 
 #include <algorithm>
 #include <chrono>
@@ -126,20 +127,24 @@ CaseResult run_case(int ports, int iterations) {
   out.switches = topo.all_switches().size();
 
   // --- Full recompute timing -------------------------------------------
+  // A reset solver runs full Dijkstra on every call.
+  routing::SpfSolver full;
   double full_ns = 0;
   std::size_t sink = 0;
   for (int i = 0; i < iterations; ++i) {
     lsdb.consider(reissue(tor_base, agg, seq++));
     lsdb.consider(reissue(agg_base, tor, seq++));
+    full.reset();
     auto t0 = Clock::now();
-    auto routes = routing::compute_spf(lsdb, self, adjacency);
+    auto routes = full.run(lsdb, self, adjacency);
     auto t1 = Clock::now();
     full_ns += ns_between(t0, t1);
     sink += routes.size();
     lsdb.consider(reissue(tor_base, {}, seq++));
     lsdb.consider(reissue(agg_base, {}, seq++));
+    full.reset();
     t0 = Clock::now();
-    routes = routing::compute_spf(lsdb, self, adjacency);
+    routes = full.run(lsdb, self, adjacency);
     t1 = Clock::now();
     full_ns += ns_between(t0, t1);
     sink += routes.size();
@@ -174,8 +179,9 @@ CaseResult run_case(int ports, int iterations) {
   if (sink == 0) std::cerr << "bench_spf: empty route sets\n";
 
   // --- Equivalence sanity + FIB install delta sizes --------------------
+  full.reset();
   out.equivalent = canonical(solver.run(lsdb, self, adjacency)) ==
-                   canonical(routing::compute_spf(lsdb, self, adjacency));
+                   canonical(full.run(lsdb, self, adjacency));
   routing::Fib fib;
   fib.apply_source_delta(routing::RouteSource::kOspf,
                          solver.run(lsdb, self, adjacency));
@@ -193,7 +199,7 @@ CaseResult run_case(int ports, int iterations) {
 struct ControllerResult {
   double compute_ms = 0;     ///< CentralController::converge, converged bed
   double kernel_ms = 0;      ///< DestinationSpf + routes_for, all switches
-  double per_source_ms = 0;  ///< compute_spf for every switch
+  double per_source_ms = 0;  ///< full SpfSolver run for every switch
   std::size_t routes = 0;    ///< installed controller routes, all switches
   std::size_t switches = 0;
   bool equivalent = false;
@@ -260,12 +266,13 @@ ControllerResult run_controller_case(int ports, int iterations) {
   out.kernel_ms = kernel_ns / iterations / 1e6;
 
   out.equivalent = true;
+  routing::SpfSolver full;
   double per_source_ns = 0;
   for (int i = 0; i < iterations; ++i) {
     for (std::size_t s = 0; s < switches.size(); ++s) {
+      full.reset();
       const auto t0 = Clock::now();
-      auto routes =
-          routing::compute_spf(view, switches[s]->router_id(), adjacency[s]);
+      auto routes = full.run(view, switches[s]->router_id(), adjacency[s]);
       per_source_ns += ns_between(t0, Clock::now());
       out.equivalent = out.equivalent && routes == kernel_routes[s];
     }
@@ -346,8 +353,8 @@ int main() {
        static_cast<double>(std::thread::hardware_concurrency()), "threads"});
 
   if (!ok) {
-    std::cerr << "bench_spf: a fast path diverged from compute_spf or the "
-                 "solver fell back\n";
+    std::cerr << "bench_spf: a fast path diverged from a full SPF run or "
+                 "the solver fell back\n";
     return 1;
   }
   if (!bench::write_bench_json("spf", results)) {

@@ -490,11 +490,20 @@ else
   echo "knob table smoke FAILED (see $OUT/campaign_knobs.txt)"
   fail=1
 fi
+# A state dir that lost its manifest but still holds worker streams is
+# stale: a fresh --workers run into it must refuse, not append.
+stale="campaign --conditions C1 --link-sites 1 --seeds 1 --workers 1 \
+--no-profile --out $OUT/campaign_stale.json"
+rm -rf "$OUT/campaign_stale.json.state"
+# shellcheck disable=SC2086
+"$BUILD"/tools/f2tsim $stale --topo f2 --ports 4 >>"$OUT/campaign_knobs.txt" 2>&1
+rm -f "$OUT/campaign_stale.json.state/manifest.json"
 for bad in "campaign --seeds 0" "campaign --link-sites -3" \
     "campaign --gray-loss 2" "campaign --control foo" \
     "recover --detection probe --bfd-tx-ms 0" \
     "campaign --conditions C1,C2 --fidelity flow --fault gray" \
-    "campaign --conditions C1,C2 --fidelity flow --detection probe"; do
+    "campaign --conditions C1,C2 --fidelity flow --detection probe" \
+    "$stale"; do
   # Word splitting of $bad is intended: it is a command plus its flags.
   # shellcheck disable=SC2086
   "$BUILD"/tools/f2tsim $bad --topo f2 --ports 4 \
@@ -527,8 +536,8 @@ if cmake -B "$RBUILD" -S . -DCMAKE_BUILD_TYPE=Release >"$OUT/release_configure.t
     fail=1
   fi
   # The control-plane fast path: bench_spf exits nonzero if the
-  # incremental solver diverges from compute_spf or falls back to full
-  # runs on the single-link-failure scenario.
+  # incremental solver diverges from a full SpfSolver run or falls back
+  # to full runs on the single-link-failure scenario.
   if ! (cd "$OUT/release" && "../../$RBUILD/bench/bench_spf") \
       >"$OUT/release/bench_spf.txt" 2>&1; then
     echo "release bench_spf FAILED (see $OUT/release/bench_spf.txt)"

@@ -421,20 +421,10 @@ void CampaignSpec::validate() const {
   if (horizon <= fail_at) {
     throw std::invalid_argument("campaign: horizon_ms <= fail_at_ms");
   }
-  if (workload.enabled && fidelity == "flow") {
-    throw std::invalid_argument(
-        "campaign: workload requires packet fidelity (the fluid probe "
-        "has no host stacks to carry TCP flows)");
-  }
-  if (fault == failure::FaultKind::kGray && fidelity == "flow") {
-    throw std::invalid_argument(
-        "campaign: fault gray requires packet fidelity (per-packet loss "
-        "draws need packets)");
-  }
-  if (detection == "probe" && fidelity == "flow") {
-    throw std::invalid_argument(
-        "campaign: detection probe requires packet fidelity (BFD hello "
-        "timing interleaves with probe serialization)");
+  if (fidelity == "flow") {
+    const std::string refusal = flow_fidelity_refusal(
+        fault, detection == "probe", workload.enabled);
+    if (!refusal.empty()) throw std::invalid_argument("campaign: " + refusal);
   }
   if (conditions.empty() && link_sites == 0 && random_sites == 0) {
     throw std::invalid_argument(

@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "obs/attach.hpp"
 #include "topo/validate.hpp"
@@ -125,42 +126,20 @@ Testbed::Testbed(const TopoBuilder& builder, const TestbedConfig& config)
       obs::register_metrics(obs_->metrics, *bfd_);
     }
     if (!ospf_.empty()) {
-      auto ospf_probe = [this](auto field) {
-        return [this, field]() {
-          std::uint64_t total = 0;
-          for (const auto& i : ospf_) total += field(i->counters());
-          return static_cast<double>(total);
-        };
+      using C = routing::Ospf::Counters;
+      const std::pair<const char*, std::uint64_t C::*> fields[] = {
+          {"ospf.lsas_originated", &C::lsas_originated},
+          {"ospf.lsas_accepted", &C::lsas_accepted},
+          {"ospf.spf_runs", &C::spf_runs},
+          {"ospf.spf_incremental_runs", &C::spf_incremental_runs},
+          {"ospf.fib_installs", &C::fib_installs},
+          {"ospf.fib_noop_installs", &C::fib_noop_installs},
       };
-      obs_->metrics.register_probe(
-          "ospf.lsas_originated", ospf_probe([](const routing::Ospf::Counters&
-                                                    c) {
-            return c.lsas_originated;
-          }));
-      obs_->metrics.register_probe(
-          "ospf.lsas_accepted",
-          ospf_probe([](const routing::Ospf::Counters& c) {
-            return c.lsas_accepted;
-          }));
-      obs_->metrics.register_probe(
-          "ospf.spf_runs", ospf_probe([](const routing::Ospf::Counters& c) {
-            return c.spf_runs;
-          }));
-      obs_->metrics.register_probe(
-          "ospf.spf_incremental_runs",
-          ospf_probe([](const routing::Ospf::Counters& c) {
-            return c.spf_incremental_runs;
-          }));
-      obs_->metrics.register_probe(
-          "ospf.fib_installs",
-          ospf_probe([](const routing::Ospf::Counters& c) {
-            return c.fib_installs;
-          }));
-      obs_->metrics.register_probe(
-          "ospf.fib_noop_installs",
-          ospf_probe([](const routing::Ospf::Counters& c) {
-            return c.fib_noop_installs;
-          }));
+      for (const auto& [name, field] : fields) {
+        obs_->metrics.register_probe(name, [this, field = field]() {
+          return static_cast<double>(total_ospf_counters().*field);
+        });
+      }
     }
     if (controller_ != nullptr) {
       obs_->metrics.register_probe("central.reports", [this]() {

@@ -30,6 +30,28 @@ const char* fidelity_name(Fidelity fidelity) {
   return fidelity == Fidelity::kFlow ? "flow" : "packet";
 }
 
+std::string flow_fidelity_refusal(failure::FaultKind fault,
+                                  bool probe_detection, bool workload,
+                                  bool tcp_probe) {
+  if (tcp_probe) {
+    return "flow fidelity does not model TCP (window dynamics are "
+           "per-packet); use packet fidelity";
+  }
+  if (fault == failure::FaultKind::kGray) {
+    return "flow fidelity cannot model gray faults (per-packet loss draws "
+           "need packets); use packet fidelity";
+  }
+  if (probe_detection) {
+    return "flow fidelity requires oracle detection (BFD hello timing "
+           "interleaves with probe serialization); use packet fidelity";
+  }
+  if (workload) {
+    return "flow fidelity does not carry the TCP workload (no host stacks "
+           "in the fluid probe model); use packet fidelity";
+  }
+  return {};
+}
+
 Testbed::TopoBuilder topology_builder(const std::string& name, int ports,
                                       int ring_width, int aspen_f) {
   if (name == "fat") {
@@ -198,21 +220,11 @@ obs::DropReason drop_reason_of(transport::FluidProbe::LossCause cause) {
 /// and channel availability windows (see transport/fluid.hpp).
 UdpRun run_udp_plan_fluid(Testbed& bed, const failure::ScenarioPlan& plan,
                           const RunKnobs& knobs) {
-  if (knobs.fault.kind == failure::FaultKind::kGray) {
-    throw std::invalid_argument(
-        "flow fidelity cannot model gray faults (per-packet loss draws "
-        "need packets); use packet fidelity");
-  }
-  if (knobs.config.detection.mode == routing::DetectionMode::kProbe) {
-    throw std::invalid_argument(
-        "flow fidelity requires oracle detection (BFD hello timing "
-        "interleaves with probe serialization); use packet fidelity");
-  }
-  if (knobs.workload_enabled) {
-    throw std::invalid_argument(
-        "flow fidelity does not carry the TCP workload (no host stacks in "
-        "the fluid probe model); use packet fidelity");
-  }
+  const std::string refusal = flow_fidelity_refusal(
+      knobs.fault.kind,
+      knobs.config.detection.mode == routing::DetectionMode::kProbe,
+      knobs.workload_enabled);
+  if (!refusal.empty()) throw std::invalid_argument(refusal);
   UdpRun out;
   out.scenario = plan.description;
   out.site_class = plan.site_class;
@@ -298,65 +310,14 @@ UdpRun run_udp_plan(Testbed& bed, const failure::ScenarioPlan& plan,
              : run_udp_plan_packet(bed, plan, knobs);
 }
 
-/// The probe-run setup both public entry points share: build and converge
-/// the testbed, derive the failure plan from its topology with
-/// `make_plan`, then run it (an empty run when the site does not apply).
-template <class MakePlan>
-UdpRun run_udp(const Testbed::TopoBuilder& builder, const RunKnobs& knobs,
-               const MakePlan& make_plan) {
-  const auto setup_start = std::chrono::steady_clock::now();
-  Testbed bed(builder, knobs.config);
-  bed.converge();
-  const auto plan = make_plan(bed.topo());
-  const std::chrono::duration<double> setup =
-      std::chrono::steady_clock::now() - setup_start;
-  if (!plan) return {};
-  auto out = run_udp_plan(bed, *plan, knobs);
-  out.observation.profile.setup_wall_seconds = setup.count();
-  return out;
-}
-
-}  // namespace
-
-UdpRun run_udp_condition(const Testbed::TopoBuilder& builder,
-                         failure::Condition condition,
-                         const RunKnobs& knobs) {
-  return run_udp(builder, knobs, [condition](const topo::BuiltTopology& t) {
-    return failure::build_condition(t, condition, net::Protocol::kUdp);
-  });
-}
-
-UdpRun run_udp_link_site(const Testbed::TopoBuilder& builder, int site,
-                         const RunKnobs& knobs) {
-  return run_udp(builder, knobs, [site](const topo::BuiltTopology& t) {
-    return failure::build_link_site_plan(t, site, net::Protocol::kUdp);
-  });
-}
-
-TcpRun run_tcp_condition(const Testbed::TopoBuilder& builder,
-                         failure::Condition condition,
-                         const RunKnobs& knobs) {
-  if (knobs.fidelity == Fidelity::kFlow) {
-    throw std::invalid_argument(
-        "flow fidelity does not model TCP (window dynamics are per-packet); "
-        "use packet fidelity");
-  }
+/// The TCP probe body: a paced bulk transfer through the planned failure.
+TcpRun run_tcp_plan(Testbed& bed, const failure::ScenarioPlan& plan,
+                    const RunKnobs& knobs) {
   TcpRun out;
-  const auto setup_start = std::chrono::steady_clock::now();
-  Testbed bed(builder, knobs.config);
-  bed.converge();
-  const auto plan = failure::build_condition(bed.topo(), condition,
-                                             net::Protocol::kTcp);
-  out.observation.profile.setup_wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    setup_start)
-          .count();
-  if (!plan) return out;
-
-  auto& src_stack = bed.stack_of(*plan->src);
-  auto& dst_stack = bed.stack_of(*plan->dst);
-  transport::TcpConnection conn(src_stack, dst_stack, plan->sport,
-                                plan->dport, knobs.tcp);
+  auto& src_stack = bed.stack_of(*plan.src);
+  auto& dst_stack = bed.stack_of(*plan.dst);
+  transport::TcpConnection conn(src_stack, dst_stack, plan.sport,
+                                plan.dport, knobs.tcp);
   std::uint64_t last = 0;
   conn.b().set_on_delivered([&](std::uint64_t d) {
     out.throughput.add(bed.sim().now(), d - last);
@@ -367,7 +328,7 @@ TcpRun run_tcp_condition(const Testbed::TopoBuilder& builder,
   transport::PacedTcpWriter writer(conn.a(), bed.sim(), wo);
   writer.start();
 
-  failure::apply_fault(bed.topo(), bed.injector(), *plan, knobs.fault,
+  failure::apply_fault(bed.topo(), bed.injector(), plan, knobs.fault,
                        knobs.fail_at);
   if (bed.observing()) {
     const auto& stats = conn.a().stats();
@@ -387,6 +348,67 @@ TcpRun run_tcp_condition(const Testbed::TopoBuilder& builder,
   out.collapse = stats::throughput_collapse_duration(
       out.throughput, sim::millis(100), knobs.fail_at, wo.stop);
   return out;
+}
+
+/// The probe-run setup all three public entry points share: build and
+/// converge the testbed, derive the failure plan from its topology with
+/// `make_plan`, then run it with `run_plan` (an empty run when the site
+/// does not apply). The setup timer covers exactly build → converge →
+/// plan.
+template <class Run, class MakePlan>
+Run run_probe(const Testbed::TopoBuilder& builder, const RunKnobs& knobs,
+              const MakePlan& make_plan,
+              Run (*run_plan)(Testbed&, const failure::ScenarioPlan&,
+                              const RunKnobs&)) {
+  const auto setup_start = std::chrono::steady_clock::now();
+  Testbed bed(builder, knobs.config);
+  bed.converge();
+  const auto plan = make_plan(bed.topo());
+  const std::chrono::duration<double> setup =
+      std::chrono::steady_clock::now() - setup_start;
+  if (!plan) return {};
+  Run out = run_plan(bed, *plan, knobs);
+  out.observation.profile.setup_wall_seconds = setup.count();
+  return out;
+}
+
+}  // namespace
+
+UdpRun run_udp_condition(const Testbed::TopoBuilder& builder,
+                         failure::Condition condition,
+                         const RunKnobs& knobs) {
+  return run_probe(
+      builder, knobs,
+      [condition](const topo::BuiltTopology& t) {
+        return failure::build_condition(t, condition, net::Protocol::kUdp);
+      },
+      run_udp_plan);
+}
+
+UdpRun run_udp_link_site(const Testbed::TopoBuilder& builder, int site,
+                         const RunKnobs& knobs) {
+  return run_probe(
+      builder, knobs,
+      [site](const topo::BuiltTopology& t) {
+        return failure::build_link_site_plan(t, site, net::Protocol::kUdp);
+      },
+      run_udp_plan);
+}
+
+TcpRun run_tcp_condition(const Testbed::TopoBuilder& builder,
+                         failure::Condition condition,
+                         const RunKnobs& knobs) {
+  if (knobs.fidelity == Fidelity::kFlow) {
+    throw std::invalid_argument(flow_fidelity_refusal(
+        knobs.fault.kind, /*probe_detection=*/false, /*workload=*/false,
+        /*tcp_probe=*/true));
+  }
+  return run_probe(
+      builder, knobs,
+      [condition](const topo::BuiltTopology& t) {
+        return failure::build_condition(t, condition, net::Protocol::kTcp);
+      },
+      run_tcp_plan);
 }
 
 }  // namespace f2t::core

@@ -38,6 +38,13 @@ enum class Fidelity { kPacket, kFlow };
 bool parse_fidelity(const std::string& name, Fidelity& out);
 const char* fidelity_name(Fidelity fidelity);
 
+/// Why flow fidelity refuses a run, or "" when it can run it. Each refused
+/// knob needs per-packet physics. `CampaignSpec::validate` and the runners
+/// (for direct RunKnobs callers) both throw with this text.
+std::string flow_fidelity_refusal(failure::FaultKind fault,
+                                  bool probe_detection, bool workload,
+                                  bool tcp_probe = false);
+
 /// Knobs for one probe-flow failure experiment.
 struct RunKnobs {
   sim::Time fail_at = sim::millis(380);

@@ -64,6 +64,22 @@ std::vector<std::vector<std::pair<int, int>>> split_indices(
   return out;
 }
 
+/// The state dir's worker streams (`worker-*.jsonl`), sorted; none when
+/// the dir does not exist.
+std::vector<fs::path> worker_streams(const std::string& state_dir) {
+  std::vector<fs::path> streams;
+  if (!fs::is_directory(state_dir)) return streams;
+  for (const auto& entry : fs::directory_iterator(state_dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("worker-", 0) == 0 &&
+        entry.path().extension() == ".jsonl") {
+      streams.push_back(entry.path());
+    }
+  }
+  std::sort(streams.begin(), streams.end());
+  return streams;
+}
+
 /// Loads every completed record already checkpointed in the state dir's
 /// worker streams (resume). A torn trailing line — no newline, or bytes
 /// that do not parse as a record (a worker killed mid-write) — ends
@@ -74,16 +90,7 @@ std::vector<std::vector<std::pair<int, int>>> split_indices(
 void load_checkpointed(const std::string& state_dir,
                        std::vector<core::ShardResult>& slots,
                        std::vector<bool>& present) {
-  std::vector<fs::path> streams;
-  for (const auto& entry : fs::directory_iterator(state_dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("worker-", 0) == 0 &&
-        entry.path().extension() == ".jsonl") {
-      streams.push_back(entry.path());
-    }
-  }
-  std::sort(streams.begin(), streams.end());
-  for (const fs::path& path : streams) {
+  for (const fs::path& path : worker_streams(state_dir)) {
     const std::string text = read_file(path.string());
     std::size_t valid = 0;  // byte length of the whole-record prefix
     std::size_t at = 0;
@@ -237,7 +244,10 @@ core::CampaignResult run_campaign_processes(
     }
     load_checkpointed(options.state_dir, slots, present);
   } else {
-    if (fs::exists(manifest_path)) {
+    // Stale streams without a manifest would be appended to here and
+    // loaded ahead of this run's records by a later --resume.
+    if (fs::exists(manifest_path) ||
+        !worker_streams(options.state_dir).empty()) {
       throw std::runtime_error(
           "campaign: " + options.state_dir +
           " already holds a checkpointed campaign; pass --resume to "

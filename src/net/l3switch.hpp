@@ -93,7 +93,7 @@ class L3Switch : public Node {
   }
 
   /// Appends a forwarding tap; every tap sees every forwarded packet, so
-  /// a PacketTracer and the observability journal can coexist.
+  /// a packet tracer and the observability journal can coexist.
   void add_forward_tap(ForwardTap tap) {
     forward_taps_.push_back(std::move(tap));
   }

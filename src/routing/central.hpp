@@ -35,8 +35,8 @@ struct CentralConfig {
 /// switch (512 at k=32, instead of one Dijkstra per switch, 1,280) and
 /// reads every switch's ECMP next hops off the resulting distance table.
 /// BFS is exact because the view advertises every link at cost 1 (see
-/// `view_of`); the routes equal `compute_spf`'s for each switch, order
-/// included. The initial converge and every report-triggered recompute
+/// `view_of`); the routes equal a full `SpfSolver` run's for each switch,
+/// order included. The initial converge and every report-triggered recompute
 /// share one body and differ only in delivery: synchronous FIB install
 /// versus a scheduled push per switch.
 class CentralController {

@@ -123,11 +123,6 @@ struct SpfArrays {
 /// precomputed per edge, the newest LSA per index (for prefix emission
 /// without hashing), and a bounded change log that lets `SpfSolver`
 /// classify the delta since its previous run.
-///
-/// The embedded `SpfArrays` scratch is mutable so `compute_spf` (a const
-/// consumer of the Lsdb) can reuse it across runs. One graph must only be
-/// used from one thread at a time — the campaign engine's shards each own
-/// their simulation, so this holds by construction.
 class LinkStateGraph {
  public:
   RouterIndex index_of(net::Ipv4Addr router) const {
@@ -164,8 +159,6 @@ class LinkStateGraph {
   /// Directed edge from→to, or null. Degree-bounded linear scan.
   const DenseEdge* find_edge(RouterIndex from, RouterIndex to) const;
 
-  SpfArrays& scratch() const { return scratch_; }
-
  private:
   RouterIndex intern(net::Ipv4Addr router);
   DenseEdge* find_edge_mut(RouterIndex from, RouterIndex to);
@@ -182,8 +175,6 @@ class LinkStateGraph {
   std::uint64_t log_base_ = 0;  ///< events_[0] has version log_base_ + 1
   std::vector<GraphEvent> events_;
   int nonpositive_entries_ = 0;
-
-  mutable SpfArrays scratch_;
 
   // The log only exists to classify small deltas; once it outgrows this
   // bound every consumer would fall back to full SPF anyway, so the old

@@ -76,9 +76,13 @@ SpfArrays::HeapItem heap_pop(SpfArrays& a) {
 /// Full Dijkstra from `self` into `a` (starts a fresh epoch). Edge rules
 /// mirror OSPF: from `self`, trust only live local adjacencies (the
 /// SelfView gate) with costs from self's own LSA; from anyone else,
-/// require the precomputed two-way flag.
-void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
-                   const SelfView& view, SpfArrays& a) {
+/// require the precomputed two-way flag. Kept out of line, as is
+/// `emit_routes`: GCC 12 inlines both into their one caller,
+/// `SpfSolver::run`, and that made a k=24 OSPF converge 5-8% slower
+/// (Release, 4-thread Xeon).
+[[gnu::noinline]] void dijkstra_full(const LinkStateGraph& g,
+                                     RouterIndex self, const SelfView& view,
+                                     SpfArrays& a) {
   a.begin(g.node_count());
   a.touch(self);
   a.dist[self] = 0;
@@ -122,8 +126,9 @@ void dijkstra_full(const LinkStateGraph& g, RouterIndex self,
 /// destination, redistributed prefix), with the first-hop indices mapped
 /// back to local ports. Always a full O(nodes) pass — which is what lets
 /// prefix-only LSA churn reuse the cached tree untouched.
-std::vector<Route> emit_routes(const LinkStateGraph& g, RouterIndex self,
-                               const SelfView& view, const SpfArrays& a) {
+[[gnu::noinline]] std::vector<Route> emit_routes(
+    const LinkStateGraph& g, RouterIndex self, const SelfView& view,
+    const SpfArrays& a) {
   std::vector<Route> routes;
   const std::size_t n = g.node_count();
   for (RouterIndex i = 0; i < n; ++i) {
@@ -158,44 +163,6 @@ void begin_marks(std::vector<std::uint32_t>& marks, std::uint32_t& epoch,
 }
 
 }  // namespace
-
-std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
-                               const std::vector<LocalAdjacency>& adjacency) {
-  const LinkStateGraph& g = lsdb.graph();
-  const RouterIndex self_index = g.index_of(self);
-  if (self_index == kNoRouter) return {};
-  const SelfView view = build_self_view(adjacency);
-  SpfArrays& a = g.scratch();
-  dijkstra_full(g, self_index, view, a);
-  return emit_routes(g, self_index, view, a);
-}
-
-bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to) {
-  if (from == to) return true;
-  const LinkStateGraph& g = lsdb.graph();
-  const RouterIndex src = g.index_of(from);
-  const RouterIndex dst = g.index_of(to);
-  if (src == kNoRouter || dst == kNoRouter) return false;
-  // BFS over the precomputed two-way edge set, using the shared scratch's
-  // settled stamps as the visited set and its heap storage as the stack.
-  SpfArrays& a = g.scratch();
-  a.begin(g.node_count());
-  a.settle(src);
-  a.heap.push_back(SpfArrays::HeapItem{0, 0, src});
-  while (!a.heap.empty()) {
-    const RouterIndex u = a.heap.back().node;
-    a.heap.pop_back();
-    for (const DenseEdge& e : g.edges(u)) {
-      if (!e.two_way) continue;
-      if (e.to == dst) return true;
-      if (!a.is_settled(e.to)) {
-        a.settle(e.to);
-        a.heap.push_back(SpfArrays::HeapItem{0, 0, e.to});
-      }
-    }
-  }
-  return false;
-}
 
 DestinationSpf::DestinationSpf(const Lsdb& view) : graph_(view.graph()) {
   const LinkStateGraph& g = graph_;

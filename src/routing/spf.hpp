@@ -21,28 +21,6 @@ struct LocalAdjacency {
       default;
 };
 
-/// Shortest-path-first calculation (Dijkstra with ECMP).
-///
-/// Edges require two-way agreement (u lists v AND v lists u), as in OSPF,
-/// so a router whose LSA is stale cannot attract traffic over a dead link
-/// for longer than flooding takes. For every destination router, all
-/// equal-cost first hops are retained; routes are emitted for each prefix
-/// the destination redistributes, mapping first-hop routers back to the
-/// local ports in `adjacency` (parallel links to the same neighbor all
-/// become next hops, which is how the testbed's doubled across links form
-/// a 2-wide ECMP group).
-///
-/// Runs on the LSDB's dense link-state graph: the two-way check is read
-/// from precomputed per-edge flags and the per-run state lives in flat
-/// index-addressed arrays (the graph's shared scratch), so a run performs
-/// no hashing and no per-run clearing.
-std::vector<Route> compute_spf(const Lsdb& lsdb, net::Ipv4Addr self,
-                               const std::vector<LocalAdjacency>& adjacency);
-
-/// Reachability probe on the LSDB graph (two-way check applied); used by
-/// tests and topology validation.
-bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to);
-
 /// Destination-rooted route computation over a whole view, for a
 /// controller that computes every router's routes from one database.
 ///
@@ -51,7 +29,7 @@ bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to);
 /// (router, destination) pair, about 1.3 MB for a k=32 fat tree).
 /// `routes_for(self, adjacency)` then reads self's routes off that table:
 /// self's next hops toward d are the neighbors j it links to whose
-/// distance to d is minimal, emitted in `compute_spf`'s order
+/// distance to d is minimal, emitted in a full `SpfSolver` run's order
 /// (destinations by RouterIndex, next hops by neighbor address, then by
 /// port in adjacency order).
 ///
@@ -59,11 +37,12 @@ bool lsdb_reachable(const Lsdb& lsdb, net::Ipv4Addr from, net::Ipv4Addr to);
 /// 1 (`CentralController::view_of` advertises each link at cost 1); the
 /// constructor throws std::invalid_argument on any other cost.
 ///
-/// Equivalence: with unit costs, `routes_for(self, adjacency)` equals
-/// `compute_spf(view, self, adjacency)` exactly, order included, provided
-/// every neighbor self's view LSA lists also appears in `adjacency` (the
-/// controller derives both from the same detected-up ports); otherwise it
-/// throws std::invalid_argument. Pinned by tests/test_spf_incremental.cpp.
+/// Equivalence: with unit costs, `routes_for(self, adjacency)` equals a
+/// full `SpfSolver` run on (view, self, adjacency) exactly, order included,
+/// provided every neighbor self's view LSA lists also appears in
+/// `adjacency` (the controller derives both from the same detected-up
+/// ports); otherwise it throws std::invalid_argument. Pinned by
+/// tests/test_spf_incremental.cpp.
 /// Reads `view`'s graph by reference, so it must not outlive `view`.
 class DestinationSpf {
  public:
@@ -81,11 +60,25 @@ class DestinationSpf {
   std::vector<std::uint16_t> dist_;
 };
 
-/// Incremental SPF engine: one instance per computing router.
+/// Shortest-path-first engine (Dijkstra with ECMP): one instance per
+/// computing router.
 ///
-/// `run` returns exactly what `compute_spf` would return for the same
-/// (lsdb, self, adjacency) inputs — that equivalence is the contract,
-/// enforced by tests/test_spf_incremental.cpp. Internally the solver keeps
+/// Edges require two-way agreement (u lists v AND v lists u), as in OSPF,
+/// so a router whose LSA is stale cannot attract traffic over a dead link
+/// for longer than flooding takes. For every destination router, all
+/// equal-cost first hops are retained; routes are emitted for each prefix
+/// the destination redistributes, mapping first-hop routers back to the
+/// local ports in `adjacency` (parallel links to the same neighbor all
+/// become next hops, which is how the testbed's doubled across links form
+/// a 2-wide ECMP group). Runs on the LSDB's dense link-state graph: the
+/// two-way check is read from precomputed per-edge flags and the per-run
+/// state lives in flat index-addressed arrays, so a run performs no
+/// hashing and no per-run clearing.
+///
+/// A fresh (or `reset()`) solver runs full Dijkstra. `run` returns exactly
+/// what a full run would return for the same (lsdb, self, adjacency)
+/// inputs — that equivalence is the contract, enforced by
+/// tests/test_spf_incremental.cpp. Internally the solver keeps
 /// the previous run's shortest-path tree and, when the graph's event log
 /// shows the delta since then is a single two-way link coming up or going
 /// down away from `self`, repairs only the affected subtree instead of
@@ -101,8 +94,8 @@ class DestinationSpf {
 /// re-runs.
 class SpfSolver {
  public:
-  /// Computes this router's OSPF routes. Always equivalent to
-  /// `compute_spf(lsdb, self, adjacency)`.
+  /// Computes this router's OSPF routes. Always equivalent to a full run
+  /// (a fresh solver's first `run`) on the same inputs.
   std::vector<Route> run(const Lsdb& lsdb, net::Ipv4Addr self,
                          const std::vector<LocalAdjacency>& adjacency);
 

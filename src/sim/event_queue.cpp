@@ -6,18 +6,6 @@
 
 namespace f2t::sim {
 
-void BinaryHeapQueue::push(EventKey key) {
-  heap_.push_back(key);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-}
-
-EventKey BinaryHeapQueue::pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  const EventKey key = heap_.back();
-  heap_.pop_back();
-  return key;
-}
-
 namespace {
 
 constexpr std::size_t kMinBuckets = 16;

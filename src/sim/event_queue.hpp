@@ -27,8 +27,10 @@ struct CalendarStats {
 /// Ordering key of a scheduled event. Min-ordering is (at, id): earliest
 /// time first, then earliest id — FIFO among same-timestamp events, which
 /// is what keeps two runs with the same inputs executing events in the
-/// same order. Both queue implementations below order by exactly this
-/// key, so they are interchangeable without affecting determinism.
+/// same order. The calendar queue below pops in exactly this order, so it
+/// is interchangeable with a binary min-heap over the same key (the
+/// differential test and bench_micro's baseline) without affecting
+/// determinism.
 struct EventKey {
   Time at = 0;
   EventId id = kInvalidEventId;
@@ -41,26 +43,6 @@ struct EventKey {
     return a.id < b.id;
   }
   friend bool operator>(const EventKey& a, const EventKey& b) { return b < a; }
-};
-
-/// The scheduler's original binary min-heap key queue. Retained verbatim
-/// so the calendar queue can be differential-tested against it and so
-/// bench_micro keeps an honest schedule/pop baseline to compare against.
-class BinaryHeapQueue {
- public:
-  void push(EventKey key);
-
-  /// The minimum key, or nullptr when empty.
-  const EventKey* peek() const { return heap_.empty() ? nullptr : &heap_[0]; }
-
-  /// Removes and returns the minimum key. Precondition: !empty().
-  EventKey pop();
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
-
- private:
-  std::vector<EventKey> heap_;  // min-heap via std::*_heap with greater
 };
 
 /// Calendar (bucket) event queue: O(1) amortized push/pop under the

@@ -1,23 +1,26 @@
 #include "topo/fattree.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace f2t::topo {
 
 BuiltTopology build_fat_tree(net::Network& network,
                              const FatTreeOptions& options) {
   const int n = options.ports;
+  // Errors name the topology that was asked for.
+  const std::string what = options.f2_rewire ? "f2 tree" : "fat tree";
   if (n < 4 || n % 2 != 0) {
-    throw std::invalid_argument("fat tree: ports must be even and >= 4");
+    throw std::invalid_argument(what + ": ports must be even and >= 4");
   }
   if (options.f2_rewire) {
     if (options.ring_width != 2 && options.ring_width != 4) {
-      throw std::invalid_argument("fat tree: ring_width must be 2 or 4");
+      throw std::invalid_argument(what + ": ring_width must be 2 or 4");
     }
     // Each agg/core must keep at least one downward and one upward link.
     if (options.ring_width / 2 >= n / 2) {
       throw std::invalid_argument(
-          "fat tree: ring_width too large for this port count");
+          what + ": ring_width too large for this port count");
     }
   }
   const int half = n / 2;
@@ -25,7 +28,7 @@ BuiltTopology build_fat_tree(net::Network& network,
       options.hosts_per_tor >= 0 ? options.hosts_per_tor : half;
   // The checked ToR count is the unrewired one, N²/2, in both modes.
   const std::int64_t n2 = std::int64_t{n} * n;
-  check_address_plan("fat tree", n2 / 2, n2 / 2, n2 / 4, hosts_per_tor,
+  check_address_plan(what.c_str(), n2 / 2, n2 / 2, n2 / 4, hosts_per_tor,
                      options.f2_rewire);
   const int ring_width = options.f2_rewire ? options.ring_width : 0;
   const int skip = ring_width / 2;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -14,9 +15,10 @@ namespace f2t::net {
 /// bounces, reroutes mid-flight and TTL deaths — which is how the tests
 /// verify fast-reroute paths packet by packet.
 ///
-/// Tracing costs a hash-map append per forwarded packet; construct it
-/// only in experiments that need it. The tracer appends its tap, so it
-/// coexists with other tap users (e.g. the observability journal).
+/// Built entirely on the public `L3Switch::add_forward_tap`, so it needs
+/// no library plumbing. Tracing costs a hash-map append per forwarded
+/// packet. The tracer appends its tap, so it coexists with other tap users
+/// (e.g. the observability journal).
 class PacketTracer {
  public:
   struct Hop {
@@ -27,13 +29,32 @@ class PacketTracer {
   };
 
   /// Attaches to every switch currently in the network.
-  explicit PacketTracer(Network& network);
+  explicit PacketTracer(Network& network) : network_(network) {
+    for (L3Switch* sw : network_.switches()) {
+      const NodeId id = sw->id();
+      sw->add_forward_tap(
+          [this, id](const Packet& packet, PortId ingress, PortId egress) {
+            by_uid_[packet.uid].push_back(
+                Hop{network_.simulator().now(), id, ingress, egress});
+            ++events_;
+          });
+    }
+  }
 
   /// Hop sequence of one packet (by uid), in forwarding order.
-  const std::vector<Hop>& hops_of(std::uint64_t uid) const;
+  const std::vector<Hop>& hops_of(std::uint64_t uid) const {
+    const auto it = by_uid_.find(uid);
+    return it == by_uid_.end() ? empty_ : it->second;
+  }
 
   /// Switch names visited by a packet, in order.
-  std::vector<std::string> path_names(std::uint64_t uid) const;
+  std::vector<std::string> path_names(std::uint64_t uid) const {
+    std::vector<std::string> names;
+    for (const Hop& hop : hops_of(uid)) {
+      names.push_back(network_.node(hop.node).name());
+    }
+    return names;
+  }
 
   /// Total forwarding events recorded.
   std::size_t event_count() const { return events_; }
@@ -42,7 +63,10 @@ class PacketTracer {
   std::size_t packet_count() const { return by_uid_.size(); }
 
   /// Drops accumulated state (e.g. between experiment phases).
-  void clear();
+  void clear() {
+    by_uid_.clear();
+    events_ = 0;
+  }
 
  private:
   Network& network_;

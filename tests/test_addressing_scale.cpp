@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "net/network.hpp"
@@ -84,10 +85,14 @@ TEST(AddressPlanScale, F2RewiringKeepsBackupCover) {
   // the first 256 ToR subnets: big rewired builds must refuse.
   sim::Simulator sim(1);
   net::Network net(sim);
-  EXPECT_THROW(
-      build_fat_tree(net, FatTreeOptions{.ports = 32, .f2_rewire = true,
-                                         .hosts_per_tor = 1}),
-      std::invalid_argument);
+  try {
+    (void)build_fat_tree(net, FatTreeOptions{.ports = 32, .f2_rewire = true,
+                                             .hosts_per_tor = 1});
+    ADD_FAILURE() << "f2-32 was built";
+  } catch (const std::invalid_argument& e) {
+    // The error names the F² builder, not its fat-tree base.
+    EXPECT_EQ(std::string(e.what()).rfind("f2 tree: ", 0), 0u) << e.what();
+  }
   EXPECT_THROW(build_vl2(net, Vl2Options{.ports = 48, .f2_rewire = true,
                                          .hosts_per_tor = 1}),
                std::invalid_argument);

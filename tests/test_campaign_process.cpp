@@ -114,6 +114,12 @@ TEST(CampaignProcess, FreshRunRefusesAStaleStateDir) {
   options.resume = true;
   const auto again = exec::run_campaign_processes(spec, options);
   EXPECT_EQ(again.runs.size(), 6u);
+  // Worker streams without a manifest are stale state too: a fresh run
+  // must not append to them for a later --resume to load.
+  fs::remove(dir.path + "/manifest.json");
+  options.resume = false;
+  EXPECT_THROW(exec::run_campaign_processes(spec, options),
+               std::runtime_error);
 }
 
 TEST(CampaignProcess, ResumeRejectsMismatchedSpec) {

@@ -2,8 +2,8 @@
 
 #include "net/network.hpp"
 #include "net/queue.hpp"
-#include "net/trace.hpp"
 #include "sim/simulator.hpp"
+#include "support/packet_tracer.hpp"
 
 namespace f2t {
 namespace {

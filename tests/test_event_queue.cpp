@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <random>
 #include <vector>
 
@@ -114,11 +116,11 @@ TEST(CalendarQueue, GrowsAndShrinksAcrossLoad) {
 }
 
 TEST(CalendarQueue, DifferentialAgainstBinaryHeap) {
-  // Random interleaved push/pop against the original heap: the two
-  // implementations must agree key-for-key at every step.
+  // Random interleaved push/pop against a binary min-heap over the same
+  // key: the two must agree key-for-key at every step.
   std::mt19937_64 rng(42);
   CalendarQueue cal;
-  BinaryHeapQueue heap;
+  std::priority_queue<EventKey, std::vector<EventKey>, std::greater<>> heap;
   Time floor = 0;  // scheduler invariant: never push below the last pop
   EventId next_id = 1;
   for (int step = 0; step < 50000; ++step) {
@@ -139,14 +141,16 @@ TEST(CalendarQueue, DifferentialAgainstBinaryHeap) {
     } else {
       ASSERT_EQ(cal.size(), heap.size());
       const EventKey a = cal.pop();
-      const EventKey b = heap.pop();
+      const EventKey b = heap.top();
+      heap.pop();
       ASSERT_EQ(a, b) << "diverged at step " << step;
       floor = a.at;
     }
   }
   while (!cal.empty()) {
     ASSERT_FALSE(heap.empty());
-    ASSERT_EQ(cal.pop(), heap.pop());
+    ASSERT_EQ(cal.pop(), heap.top());
+    heap.pop();
   }
   EXPECT_TRUE(heap.empty());
 }

@@ -5,9 +5,9 @@
 
 #include "core/f2tree.hpp"
 #include "core/runner.hpp"
-#include "net/trace.hpp"
 #include "obs/attach.hpp"
 #include "obs/timeline.hpp"
+#include "support/packet_tracer.hpp"
 
 namespace f2t {
 namespace {

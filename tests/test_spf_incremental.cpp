@@ -16,6 +16,7 @@
 #include "routing/smallvec.hpp"
 #include "routing/spf.hpp"
 #include "sim/simulator.hpp"
+#include "support/lsdb_reachable.hpp"
 
 namespace f2t::routing {
 namespace {
@@ -24,14 +25,15 @@ using net::Ipv4Addr;
 using net::Prefix;
 
 // ---------------------------------------------------------------------------
-// Reference implementation: the original hash-based compute_spf, copied
-// verbatim from before the dense-graph rewrite. The property suite below
-// checks three-way agreement on every churn step:
+// Reference implementation: the original hash-based SPF, copied verbatim
+// from before the dense-graph rewrite. The property suite below checks
+// three-way agreement on every churn step:
 //
-//   SpfSolver::run  ==  compute_spf (dense)  ==  reference_spf (this)
+//   incremental SpfSolver  ==  fresh SpfSolver  ==  reference_spf (this)
 //
-// so a regression in either the dense rewrite or the incremental repair
-// shows up as a route-set divergence from this known-good baseline.
+// (the first two in exact order), so a regression in either the dense
+// full run or the incremental repair shows up as a route-set divergence
+// from this known-good baseline.
 // ---------------------------------------------------------------------------
 
 using RefFirstHopSet = SmallVec<std::uint16_t, 8>;
@@ -256,21 +258,21 @@ Harness make_harness(const std::string& topo_name, int ports) {
 void check_equivalence(Harness& h) {
   ++h.checks;
   const auto adjacency = h.live_adjacency();
-  const auto incremental = sorted(h.solver.run(h.lsdb, h.self, adjacency));
+  const auto incremental = h.solver.run(h.lsdb, h.self, adjacency);
   if (h.solver.last_run_incremental()) {
     ++h.incremental_runs;
   } else {
     ++h.full_runs;
   }
-  const auto dense = sorted(compute_spf(h.lsdb, h.self, adjacency));
+  const auto full = SpfSolver{}.run(h.lsdb, h.self, adjacency);
   const auto reference = sorted(reference_spf(h.lsdb, h.self, adjacency));
-  ASSERT_EQ(dense.size(), reference.size()) << "check #" << h.checks;
-  ASSERT_TRUE(dense == reference)
-      << "dense compute_spf diverged from the reference at check #"
+  ASSERT_EQ(full.size(), reference.size()) << "check #" << h.checks;
+  ASSERT_TRUE(sorted(full) == reference)
+      << "full SPF run diverged from the reference at check #" << h.checks;
+  ASSERT_EQ(incremental.size(), full.size()) << "check #" << h.checks;
+  ASSERT_TRUE(incremental == full)
+      << "incremental SpfSolver diverged from a full run at check #"
       << h.checks;
-  ASSERT_EQ(incremental.size(), dense.size()) << "check #" << h.checks;
-  ASSERT_TRUE(incremental == dense)
-      << "SpfSolver diverged from compute_spf at check #" << h.checks;
 }
 
 /// The harness's LSDB read as a controller view: each router's LSA lists
@@ -287,7 +289,7 @@ std::vector<LocalAdjacency> view_adjacency(const Harness& h, Ipv4Addr r) {
   return out;
 }
 
-/// DestinationSpf must reproduce compute_spf for every router of the
+/// DestinationSpf must reproduce a full SpfSolver run for every router of the
 /// view, order included (the controller installs its output verbatim).
 void check_controller(Harness& h) {
   ++h.checks;
@@ -304,12 +306,12 @@ void check_controller(Harness& h) {
   const DestinationSpf spf(h.lsdb);
   for (const Ipv4Addr r : h.routers) {
     const auto adjacency = view_adjacency(h, r);
-    const auto expected = compute_spf(h.lsdb, r, adjacency);
+    const auto expected = SpfSolver{}.run(h.lsdb, r, adjacency);
     const auto got = spf.routes_for(r, adjacency);
     ASSERT_EQ(got.size(), expected.size())
         << "router " << r.str() << " at check #" << h.checks;
-    ASSERT_TRUE(got == expected) << "DestinationSpf diverged from "
-                                    "compute_spf for router "
+    ASSERT_TRUE(got == expected) << "DestinationSpf diverged from a full "
+                                    "SPF run for router "
                                  << r.str() << " at check #" << h.checks;
     const Lsa* own = h.lsdb.find(r);
     const std::size_t reachable_max =
@@ -495,7 +497,7 @@ TEST(LinkStateGraph, AsymmetricLinkIsNotTwoWay) {
   EXPECT_EQ(g.find_edge(ci, bi), nullptr);
 
   const std::vector<LocalAdjacency> adjacency{{0, B}};
-  EXPECT_TRUE(compute_spf(db, A, adjacency).empty());
+  EXPECT_TRUE(SpfSolver{}.run(db, A, adjacency).empty());
   EXPECT_FALSE(lsdb_reachable(db, A, C));
 
   // C answering back completes the pair: the same edge flips to two-way
@@ -504,7 +506,7 @@ TEST(LinkStateGraph, AsymmetricLinkIsNotTwoWay) {
   const DenseEdge* bc2 = g.find_edge(bi, ci);
   ASSERT_NE(bc2, nullptr);
   EXPECT_TRUE(bc2->two_way);
-  const auto routes = compute_spf(db, A, adjacency);
+  const auto routes = SpfSolver{}.run(db, A, adjacency);
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_EQ(routes[0].prefix, kDst);
   EXPECT_TRUE(lsdb_reachable(db, A, C));
@@ -533,27 +535,27 @@ TEST(SpfSolver, RemoteLinkFailureRunsIncrementally) {
   ASSERT_EQ(routes.size(), 1u);
   ASSERT_EQ(routes[0].next_hops.size(), 1u);
   EXPECT_EQ(routes[0].next_hops[0].via, C);
-  EXPECT_TRUE(sorted(routes) == sorted(compute_spf(db, A, adjacency)));
+  EXPECT_TRUE(routes == SpfSolver{}.run(db, A, adjacency));
 
   // Second direction: origin-only from A's perspective, still incremental.
   db.consider(make_lsa(D, {C}, {kDst}, 2));
   routes = solver.run(db, A, adjacency);
   EXPECT_TRUE(solver.last_run_incremental());
-  EXPECT_TRUE(sorted(routes) == sorted(compute_spf(db, A, adjacency)));
+  EXPECT_TRUE(routes == SpfSolver{}.run(db, A, adjacency));
 
   // Recovery: both directions come back, each step stays incremental and
   // equivalent, and ECMP over B and C is restored.
   db.consider(make_lsa(B, {A, D}, {}, 3));
   routes = solver.run(db, A, adjacency);
   EXPECT_TRUE(solver.last_run_incremental());
-  EXPECT_TRUE(sorted(routes) == sorted(compute_spf(db, A, adjacency)));
+  EXPECT_TRUE(routes == SpfSolver{}.run(db, A, adjacency));
 
   db.consider(make_lsa(D, {B, C}, {kDst}, 3));
   routes = solver.run(db, A, adjacency);
   EXPECT_TRUE(solver.last_run_incremental());
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_EQ(routes[0].next_hops.size(), 2u);
-  EXPECT_TRUE(sorted(routes) == sorted(compute_spf(db, A, adjacency)));
+  EXPECT_TRUE(routes == SpfSolver{}.run(db, A, adjacency));
 }
 
 TEST(SpfSolver, LocalEventsAndAdjacencyChangesFallBackToFull) {
@@ -572,7 +574,7 @@ TEST(SpfSolver, LocalEventsAndAdjacencyChangesFallBackToFull) {
   db.consider(make_lsa(A, {B}, {}, 2));
   auto routes = solver.run(db, A, adjacency);
   EXPECT_FALSE(solver.last_run_incremental());
-  EXPECT_TRUE(sorted(routes) == sorted(compute_spf(db, A, adjacency)));
+  EXPECT_TRUE(routes == SpfSolver{}.run(db, A, adjacency));
 
   db.consider(make_lsa(A, {B, C}, {}, 3));
   (void)solver.run(db, A, adjacency);
@@ -582,7 +584,7 @@ TEST(SpfSolver, LocalEventsAndAdjacencyChangesFallBackToFull) {
   adjacency.pop_back();
   routes = solver.run(db, A, adjacency);
   EXPECT_FALSE(solver.last_run_incremental());
-  EXPECT_TRUE(sorted(routes) == sorted(compute_spf(db, A, adjacency)));
+  EXPECT_TRUE(routes == SpfSolver{}.run(db, A, adjacency));
 }
 
 TEST(DestinationSpf, OneWayEdgeAndPartition) {
@@ -600,16 +602,16 @@ TEST(DestinationSpf, OneWayEdgeAndPartition) {
   const DestinationSpf spf(db);
   const std::vector<LocalAdjacency> a_adj{{0, B}, {1, C}};
   const auto routes = spf.routes_for(A, a_adj);
-  EXPECT_TRUE(routes == compute_spf(db, A, a_adj));
+  EXPECT_TRUE(routes == SpfSolver{}.run(db, A, a_adj));
   ASSERT_EQ(routes.size(), 2u);  // kB and kDst; kE is unreachable
   EXPECT_EQ(routes[0].prefix, kB);
   EXPECT_EQ(routes[1].prefix, kDst);
   EXPECT_EQ(routes[1].next_hops.size(), 2u);
 
   // D's own one-way edge to E is usable from D (local adjacency is
-  // trusted for the first hop), exactly as in compute_spf.
+  // trusted for the first hop), exactly as in a full SpfSolver run.
   const std::vector<LocalAdjacency> d_adj{{0, B}, {1, C}, {2, E}};
-  EXPECT_TRUE(spf.routes_for(D, d_adj) == compute_spf(db, D, d_adj));
+  EXPECT_TRUE(spf.routes_for(D, d_adj) == SpfSolver{}.run(db, D, d_adj));
   EXPECT_EQ(spf.routes_for(D, d_adj).size(), 2u);
 }
 
@@ -647,7 +649,7 @@ TEST(SpfSolver, PrefixOnlyChurnReusesTree) {
   const auto routes = solver.run(db, A, adjacency);
   EXPECT_TRUE(solver.last_run_incremental());
   ASSERT_EQ(routes.size(), 2u);
-  EXPECT_TRUE(sorted(routes) == sorted(compute_spf(db, A, adjacency)));
+  EXPECT_TRUE(routes == SpfSolver{}.run(db, A, adjacency));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "routing/spf.hpp"
+#include "support/lsdb_reachable.hpp"
 
 namespace f2t::routing {
 namespace {
@@ -33,7 +34,7 @@ TEST(Spf, DiamondProducesEcmpFirstHops) {
   db.consider(make_lsa(D, {B, C}, {kDst}));
 
   const std::vector<LocalAdjacency> adjacency{{0, B}, {1, C}};
-  const auto routes = compute_spf(db, A, adjacency);
+  const auto routes = SpfSolver{}.run(db, A, adjacency);
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_EQ(routes[0].prefix, kDst);
   ASSERT_EQ(routes[0].next_hops.size(), 2u);
@@ -50,7 +51,7 @@ TEST(Spf, ShorterPathBeatsLonger) {
   db.consider(make_lsa(D, {B, X}, {kDst}));
 
   const std::vector<LocalAdjacency> adjacency{{0, B}, {1, C}};
-  const auto routes = compute_spf(db, A, adjacency);
+  const auto routes = SpfSolver{}.run(db, A, adjacency);
   ASSERT_EQ(routes.size(), 1u);
   ASSERT_EQ(routes[0].next_hops.size(), 1u);
   EXPECT_EQ(routes[0].next_hops[0].via, B);
@@ -66,7 +67,7 @@ TEST(Spf, OneWayAdjacencyIsIgnored) {
   db.consider(make_lsa(D, {C}, {kDst}));  // no B!
 
   const std::vector<LocalAdjacency> adjacency{{0, B}, {1, C}};
-  const auto routes = compute_spf(db, A, adjacency);
+  const auto routes = SpfSolver{}.run(db, A, adjacency);
   ASSERT_EQ(routes.size(), 1u);
   ASSERT_EQ(routes[0].next_hops.size(), 1u);
   EXPECT_EQ(routes[0].next_hops[0].via, C);
@@ -78,7 +79,7 @@ TEST(Spf, UnreachableDestinationYieldsNoRoute) {
   db.consider(make_lsa(B, {A}));
   db.consider(make_lsa(D, {}, {kDst}));  // isolated
   const std::vector<LocalAdjacency> adjacency{{0, B}};
-  EXPECT_TRUE(compute_spf(db, A, adjacency).empty());
+  EXPECT_TRUE(SpfSolver{}.run(db, A, adjacency).empty());
 }
 
 TEST(Spf, ParallelLinksToSameNeighborAllBecomeNextHops) {
@@ -87,7 +88,7 @@ TEST(Spf, ParallelLinksToSameNeighborAllBecomeNextHops) {
   db.consider(make_lsa(B, {A}, {kDst}));
   // Two local ports both facing B (the testbed's doubled across links).
   const std::vector<LocalAdjacency> adjacency{{0, B}, {1, B}};
-  const auto routes = compute_spf(db, A, adjacency);
+  const auto routes = SpfSolver{}.run(db, A, adjacency);
   ASSERT_EQ(routes.size(), 1u);
   EXPECT_EQ(routes[0].next_hops.size(), 2u);
 }
@@ -101,7 +102,7 @@ TEST(Spf, DeadLocalPortExcludedByAdjacencyList) {
   db.consider(make_lsa(C, {A, D}));
   db.consider(make_lsa(D, {B, C}, {kDst}));
   const std::vector<LocalAdjacency> only_c{{1, C}};
-  const auto routes = compute_spf(db, A, only_c);
+  const auto routes = SpfSolver{}.run(db, A, only_c);
   ASSERT_EQ(routes.size(), 1u);
   ASSERT_EQ(routes[0].next_hops.size(), 1u);
   EXPECT_EQ(routes[0].next_hops[0].via, C);
@@ -113,7 +114,7 @@ TEST(Spf, MultiplePrefixesPerRouter) {
   db.consider(make_lsa(A, {B}));
   db.consider(make_lsa(B, {A}, {kDst, kDst2}));
   const std::vector<LocalAdjacency> adjacency{{0, B}};
-  const auto routes = compute_spf(db, A, adjacency);
+  const auto routes = SpfSolver{}.run(db, A, adjacency);
   EXPECT_EQ(routes.size(), 2u);
 }
 

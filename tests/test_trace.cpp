@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/f2tree.hpp"
-#include "net/trace.hpp"
+#include "support/packet_tracer.hpp"
 
 namespace f2t::net {
 namespace {
